@@ -7,6 +7,7 @@
 
 use crate::config::Resolution;
 use nora_tensor::quant::Quantizer;
+use nora_tensor::simd::{self, Kernel};
 
 /// Canonical observability metric names of the conversion stages.
 ///
@@ -66,6 +67,7 @@ impl Dac {
     }
 
     /// Converts one value (clip + quantize).
+    #[inline(always)]
     pub fn convert(&self, x: f32) -> f32 {
         let clipped = if x.is_nan() {
             0.0
@@ -83,13 +85,33 @@ impl Dac {
     /// NaN inputs count as clipped: they convert to 0 (so they cannot
     /// poison the analog accumulation), but a poisoned input vector must
     /// not report a clean conversion.
+    ///
+    /// The loop runs through [`simd::run`]: the AVX2 instance gives the
+    /// same bits as the baseline one.
     pub fn convert_slice(&self, xs: &mut [f32]) -> usize {
+        simd::run(DacConvert { dac: *self, xs })
+    }
+}
+
+/// [`Dac::convert_slice`] as a [`Kernel`]. The DAC is held by value, so
+/// the loop reads its bound and quantizer from locals.
+struct DacConvert<'a> {
+    dac: Dac,
+    xs: &'a mut [f32],
+}
+
+impl Kernel for DacConvert<'_> {
+    type Output = usize;
+
+    #[inline(always)]
+    fn run(self) -> usize {
+        let Self { dac, xs } = self;
         let mut clipped = 0;
         for v in xs {
-            if v.is_nan() || v.abs() > self.bound {
+            if v.is_nan() || v.abs() > dac.bound {
                 clipped += 1;
             }
-            *v = self.convert(*v);
+            *v = dac.convert(*v);
         }
         clipped
     }
@@ -142,7 +164,7 @@ impl Adc {
     /// same accounting as [`convert_slice`](Adc::convert_slice) — which is
     /// implemented on top of this helper, as is the fused conversion
     /// epilogue in the tile fast path.
-    #[inline]
+    #[inline(always)]
     pub fn convert(&self, v: f32) -> (f32, bool) {
         let saturated = v.abs() > self.bound;
         let clipped = if v.is_nan() {
@@ -162,10 +184,30 @@ impl Adc {
     /// Only strict overflow (`|v| > bound`) counts: a reading exactly at
     /// full scale is in range, and counting it would spuriously trigger
     /// iterative bound-management α-doubling retries.
+    ///
+    /// The loop runs through [`simd::run`]: the AVX2 instance gives the
+    /// same bits as the baseline one.
     pub fn convert_slice(&self, xs: &mut [f32]) -> usize {
+        simd::run(AdcConvert { adc: *self, xs })
+    }
+}
+
+/// [`Adc::convert_slice`] as a [`Kernel`], holding the ADC by value like
+/// [`DacConvert`].
+struct AdcConvert<'a> {
+    adc: Adc,
+    xs: &'a mut [f32],
+}
+
+impl Kernel for AdcConvert<'_> {
+    type Output = usize;
+
+    #[inline(always)]
+    fn run(self) -> usize {
+        let Self { adc, xs } = self;
         let mut saturated = 0;
-        for v in xs.iter_mut() {
-            let (code, sat) = self.convert(*v);
+        for v in xs {
+            let (code, sat) = adc.convert(*v);
             saturated += sat as usize;
             *v = code;
         }
@@ -174,7 +216,7 @@ impl Adc {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -248,6 +290,101 @@ mod tests {
     #[should_panic(expected = "finite ADC resolution requires")]
     fn finite_adc_with_infinite_bound_panics() {
         Adc::new(Resolution::bits(7), f32::INFINITY);
+    }
+
+    /// Edge inputs for the converter bit-identity tests: NaN, ±0, ±inf,
+    /// subnormals, exactly ±bound, the next float beyond ±bound, and huge
+    /// magnitudes, interleaved with in-range and saturating values so they
+    /// land in both the vector body and the scalar tail of a loop.
+    pub(crate) fn edge_inputs(bound: f32, seed: u64) -> Vec<f32> {
+        let above = f32::from_bits(bound.to_bits() + 1);
+        let below = f32::from_bits(bound.to_bits() - 1);
+        let edges = [
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE / 3.0,
+            -f32::MIN_POSITIVE / 3.0,
+            bound,
+            -bound,
+            above,
+            -above,
+            below,
+            -below,
+            f32::MAX,
+            f32::MIN,
+        ];
+        let mut rng = nora_tensor::rng::Rng::seed_from(seed);
+        let mut xs = Vec::new();
+        for (i, &e) in edges.iter().enumerate() {
+            xs.push(e);
+            for _ in 0..(i % 5) {
+                xs.push(rng.uniform(-1.5 * bound, 1.5 * bound));
+            }
+        }
+        xs.extend((0..301).map(|_| rng.uniform(-2.0 * bound, 2.0 * bound)));
+        xs.extend_from_slice(&edges);
+        xs
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `simd::run` takes the AVX2 instance on an AVX2 host, while `k.run()`
+    /// is compiled into this baseline test body: the two must agree bitwise.
+    #[test]
+    fn converter_instances_are_bit_identical() {
+        let resolutions = [
+            Resolution::Ideal,
+            Resolution::bits(1),
+            Resolution::bits(7),
+            Resolution::bits(8),
+        ];
+        for (i, res) in resolutions.into_iter().enumerate() {
+            for bound in [1.0f32, 0.37, 12.0] {
+                let xs = edge_inputs(bound, i as u64);
+                let dac = Dac::new(res, bound);
+                let (mut base, mut dispatched) = (xs.clone(), xs.clone());
+                let n_base = DacConvert { dac, xs: &mut base }.run();
+                let n_dispatched = simd::run(DacConvert {
+                    dac,
+                    xs: &mut dispatched,
+                });
+                assert_eq!(n_base, n_dispatched, "DAC {res:?} bound {bound}");
+                assert_eq!(bits(&base), bits(&dispatched), "DAC {res:?} bound {bound}");
+
+                let adc = Adc::new(res, bound);
+                let (mut base, mut dispatched) = (xs.clone(), xs.clone());
+                let n_base = AdcConvert { adc, xs: &mut base }.run();
+                let n_dispatched = simd::run(AdcConvert {
+                    adc,
+                    xs: &mut dispatched,
+                });
+                assert!(n_base > 0, "edge inputs must saturate the ADC");
+                assert_eq!(n_base, n_dispatched, "ADC {res:?} bound {bound}");
+                assert_eq!(bits(&base), bits(&dispatched), "ADC {res:?} bound {bound}");
+            }
+        }
+        // An ideal ADC may have an infinite full scale.
+        let adc = Adc::new(Resolution::Ideal, f32::INFINITY);
+        let xs = edge_inputs(3.0, 9);
+        let (mut base, mut dispatched) = (xs.clone(), xs);
+        let n_base = AdcConvert { adc, xs: &mut base }.run();
+        let n_dispatched = simd::run(AdcConvert {
+            adc,
+            xs: &mut dispatched,
+        });
+        assert_eq!(n_base, n_dispatched);
+        assert_eq!(bits(&base), bits(&dispatched));
+        if !simd::avx2_detected() {
+            eprintln!("no AVX2 on this CPU: compared the baseline instance only");
+        }
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl IrDropModel {
     /// one column at activity `mean_abs_input` — exposed so a fused
     /// conversion epilogue can apply the droop per element instead of in a
     /// dedicated sweep. Returns 1 when the model is off.
-    #[inline]
+    #[inline(always)]
     pub fn multiplier(&self, column_factor: f32, mean_abs_input: f32) -> f32 {
         if self.is_off() {
             return 1.0;
@@ -101,7 +101,7 @@ impl IrDropModel {
 
     /// Shared per-element droop expression of `apply`/`multiplier`
     /// (`u` pre-clamped to `[0, 1]`).
-    #[inline]
+    #[inline(always)]
     fn droop_multiplier(column_factor: f32, u: f32) -> f32 {
         1.0 - (column_factor * u).min(0.9)
     }

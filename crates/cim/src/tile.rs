@@ -11,6 +11,7 @@ use nora_device::{
     ProgrammedMatrix, SlicedMatrix, TileFaultMap,
 };
 use nora_tensor::rng::Rng;
+use nora_tensor::simd::{self, Kernel};
 use nora_tensor::Matrix;
 
 /// Time (seconds after programming) at which a tile's reference weights are
@@ -323,6 +324,58 @@ impl NoiseStream<'_> {
             mean + std * self.rng.standard_normal_icdf()
         } else {
             self.rng.normal(mean, std)
+        }
+    }
+}
+
+/// The analog stages of [`AnalogTile::fused_epilogue_ex`] as a [`Kernel`]:
+/// per element, read-noise add (`has_w`), IR-drop droop (when `ir` is on)
+/// and output-noise add (`has_o`). The ADC pass follows as its own kernel
+/// ([`Adc::convert_slice`]); split this way, both loops vectorize.
+///
+/// `wn`, `on` and `ir_factors` are at least as long as `z`; a stage that is
+/// off leaves the element untouched, exactly as in the unfused chain. The
+/// IR-drop model is held by value, so the loop reads it from locals.
+struct ReadoutStages<'a> {
+    z: &'a mut [f32],
+    wn: &'a [f32],
+    on: &'a [f32],
+    ir_factors: &'a [f32],
+    has_w: bool,
+    has_o: bool,
+    ir: IrDropModel,
+    u: f32,
+}
+
+impl Kernel for ReadoutStages<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Self {
+            z,
+            wn,
+            on,
+            ir_factors,
+            has_w,
+            has_o,
+            ir,
+            u,
+        } = self;
+        assert!(wn.len() >= z.len() && on.len() >= z.len() && ir_factors.len() >= z.len());
+        let has_ir = !ir.is_off();
+        for (((v, &w), &f), &o) in z.iter_mut().zip(wn).zip(ir_factors).zip(on) {
+            let mut r = *v;
+            if has_w {
+                r += w;
+            }
+            if has_ir {
+                r *= ir.multiplier(f, u);
+            }
+            if has_o {
+                r += o;
+            }
+            *v = r;
         }
     }
 }
@@ -1184,17 +1237,18 @@ impl AnalogTile {
         x_hat.iter().map(|v| v.abs()).sum::<f32>() / x_hat.len().max(1) as f32
     }
 
-    /// The stochastic back half of one conversion round, fused into a
-    /// single pass over `z`: read-noise add, IR-drop droop, output-noise
-    /// add, ADC saturate+quantize. Returns the saturation count.
+    /// The stochastic back half of one conversion round: read-noise add,
+    /// IR-drop droop, output-noise add, ADC saturate+quantize. Returns the
+    /// saturation count.
     ///
     /// The noise is drawn into scratch buffers *before* the arithmetic
-    /// pass — all read-noise draws first, then all output-noise draws —
+    /// passes — all read-noise draws first, then all output-noise draws —
     /// which preserves the exact RNG draw order of the unfused per-stage
     /// sweeps. Each element then sees the identical operation chain
     /// (`+ wn[j]`, `× droop_j`, `+ on[j]`, ADC) the sweeps would apply, so
-    /// fusing changes nothing bitwise while touching `z` once instead of
-    /// four times.
+    /// fusing changes nothing bitwise while touching `z` twice (the three
+    /// analog stages in one [`ReadoutStages`] pass, then the ADC) instead
+    /// of four times. Both passes run through [`simd::run`].
     fn fused_epilogue_ex(
         &self,
         ns: &mut NoiseStream<'_>,
@@ -1206,35 +1260,28 @@ impl AnalogTile {
         let n = z.len();
         let has_w = sigma_w > 0.0;
         let has_o = self.config.out_noise > 0.0;
-        let has_ir = !self.ir.is_off();
         let Scratch { wn, on, .. } = sc;
+        // Both buffers are as long as `z` even when their stage is off (the
+        // pass then ignores them), so the pass needs no bounds checks.
+        wn.resize(n, 0.0);
+        on.resize(n, 0.0);
         if has_w {
-            wn.clear();
-            wn.resize(n, 0.0);
             ns.fill_normal(wn, 0.0, sigma_w);
         }
         if has_o {
-            on.clear();
-            on.resize(n, 0.0);
             ns.fill_normal(on, 0.0, self.config.out_noise);
         }
-        let mut saturated = 0usize;
-        for (j, v) in z.iter_mut().enumerate() {
-            let mut r = *v;
-            if has_w {
-                r += wn[j];
-            }
-            if has_ir {
-                r *= self.ir.multiplier(self.ir_factors[j], u);
-            }
-            if has_o {
-                r += on[j];
-            }
-            let (code, sat) = self.adc.convert(r);
-            saturated += sat as usize;
-            *v = code;
-        }
-        saturated
+        simd::run(ReadoutStages {
+            z,
+            wn,
+            on,
+            ir_factors: &self.ir_factors,
+            has_w,
+            has_o,
+            ir: self.ir,
+            u,
+        });
+        self.adc.convert_slice(z)
     }
 
     /// Multi-level analog input drive: one DAC conversion per input.
@@ -1602,7 +1649,17 @@ impl AnalogTile {
         let mut x_hat = std::mem::take(&mut sc.x_hat);
         x_hat.clear();
         x_hat.extend(x_s.iter().map(|&v| v / alpha));
-        let clipped = self.dac.convert_slice(&mut x_hat);
+        // Per-element DAC and a naive k-ascending MVM, not the dispatched
+        // kernels: this chain is compiled without AVX2 in every test build,
+        // so the fast path is checked against baseline code on AVX2 hosts.
+        let bound = self.dac.bound();
+        let mut clipped = 0usize;
+        for v in &mut x_hat {
+            if v.is_nan() || v.abs() > bound {
+                clipped += 1;
+            }
+            *v = self.dac.convert(*v);
+        }
         if self.config.in_noise > 0.0 {
             let sigma = self.config.in_noise;
             for v in &mut x_hat {
@@ -1610,7 +1667,15 @@ impl AnalogTile {
             }
         }
         crate::nonlinearity::s_shape_slice(&mut x_hat, self.config.s_shape);
-        self.w_eff.vecmat_into(&x_hat, z);
+        // Each output starts at 0.0 and adds x[k]·w[k][j] in k order: the
+        // chain of the tiled row kernel, so the bits are the same.
+        z.clear();
+        z.resize(self.w_eff.cols(), 0.0);
+        for (k, &xk) in x_hat.iter().enumerate() {
+            for (o, &w) in z.iter_mut().zip(self.w_eff.row(k)) {
+                *o += xk * w;
+            }
+        }
         if self.config.w_noise > 0.0 {
             let x_l2 = x_hat
                 .iter()
@@ -1634,9 +1699,21 @@ impl AnalogTile {
                 *v += ns.normal(0.0, sigma);
             }
         }
-        let saturated = self.adc.convert_slice(z);
+        let saturated = self.adc_reference(z);
         sc.x_hat = x_hat;
         (clipped, saturated)
+    }
+
+    /// Per-element ADC pass of the reference chain (baseline code, like
+    /// the rest of it), with the accounting of [`Adc::convert_slice`].
+    fn adc_reference(&self, z: &mut [f32]) -> usize {
+        let mut saturated = 0;
+        for v in z.iter_mut() {
+            let (code, sat) = self.adc.convert(*v);
+            saturated += sat as usize;
+            *v = code;
+        }
+        saturated
     }
 
     fn convert_bit_serial_reference(
@@ -1710,7 +1787,7 @@ impl AnalogTile {
                     *v += ns.normal(0.0, self.config.out_noise);
                 }
             }
-            saturated += self.adc.convert_slice(&mut zk);
+            saturated += self.adc_reference(&mut zk);
             let weight = (mask as f32) / full_scale * bound / drive_gain;
             for (acc, &v) in z.iter_mut().zip(&zk) {
                 *acc += v * weight;
@@ -2106,6 +2183,75 @@ mod tests {
         // Variance should drop ≈ 8×; allow Monte-Carlo slack.
         let ratio = single / averaged;
         assert!((4.0..16.0).contains(&ratio), "ratio {ratio}");
+    }
+
+    /// The epilogue's analog stages and its ADC pass, dispatched through
+    /// `simd::run` (the AVX2 instance on an AVX2 host) against the same
+    /// kernel called directly and a per-element ADC loop, both compiled
+    /// into this baseline test body, for all 8 on/off combinations of read
+    /// noise, IR drop and output noise, on edge and saturating readings.
+    #[test]
+    fn epilogue_instances_are_bit_identical() {
+        let adc_bound = 12.0;
+        let z0 = crate::converter::tests::edge_inputs(adc_bound, 5);
+        let n = z0.len();
+        let mut rng = Rng::seed_from(17);
+        let mut wn = vec![0.0f32; n];
+        let mut on = vec![0.0f32; n];
+        rng.fill_normal_icdf(&mut wn, 0.0, 0.3);
+        rng.fill_normal_icdf(&mut on, 0.0, 0.04);
+        let ir_factors: Vec<f32> = (0..n).map(|_| rng.uniform(0.0, 0.9)).collect();
+        for adc in [
+            Adc::new(Resolution::bits(7), adc_bound),
+            Adc::new(Resolution::Ideal, adc_bound),
+        ] {
+            for combo in 0..8u32 {
+                let (has_w, has_ir, has_o) = (combo & 1 != 0, combo & 2 != 0, combo & 4 != 0);
+                let ir = IrDropModel::new(if has_ir { 1.0 } else { 0.0 });
+                let (mut base, mut dispatched) = (z0.clone(), z0.clone());
+                ReadoutStages {
+                    z: &mut base,
+                    wn: &wn,
+                    on: &on,
+                    ir_factors: &ir_factors,
+                    has_w,
+                    has_o,
+                    ir,
+                    u: 0.6,
+                }
+                .run();
+                simd::run(ReadoutStages {
+                    z: &mut dispatched,
+                    wn: &wn,
+                    on: &on,
+                    ir_factors: &ir_factors,
+                    has_w,
+                    has_o,
+                    ir,
+                    u: 0.6,
+                });
+                let ctx = format!("{adc:?} read {has_w} ir {has_ir} out {has_o}");
+                let base_bits: Vec<u32> = base.iter().map(|v| v.to_bits()).collect();
+                let dispatched_bits: Vec<u32> = dispatched.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(base_bits, dispatched_bits, "{ctx}: analog stages diverged");
+
+                let mut sat_base = 0;
+                for v in base.iter_mut() {
+                    let (code, sat) = adc.convert(*v);
+                    sat_base += sat as usize;
+                    *v = code;
+                }
+                let sat_dispatched = adc.convert_slice(&mut dispatched);
+                assert!(sat_base > 0, "{ctx}: no saturating reading");
+                assert_eq!(sat_base, sat_dispatched, "{ctx}: saturation counts");
+                let base_bits: Vec<u32> = base.iter().map(|v| v.to_bits()).collect();
+                let dispatched_bits: Vec<u32> = dispatched.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(base_bits, dispatched_bits, "{ctx}: ADC codes diverged");
+            }
+        }
+        if !simd::avx2_detected() {
+            eprintln!("no AVX2 on this CPU: compared the baseline instance only");
+        }
     }
 
     /// The tentpole equivalence property: the hoisted/fused conversion fast

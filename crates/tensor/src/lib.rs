@@ -12,6 +12,8 @@
 //!   Gaussian kernel density estimate used to reproduce the paper's Fig. 4.
 //! * [`quant`] — symmetric uniform quantizers shared by the DAC and ADC
 //!   models of `nora-cim`.
+//! * [`simd`] — hot loops compiled twice (baseline and AVX2) and chosen at
+//!   run time, with identical bits; the crate's only `unsafe` lives there.
 //!
 //! # Example
 //!
@@ -25,13 +27,14 @@
 //! assert_eq!((c.rows(), c.cols()), (4, 3));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;
 mod matrix;
 pub mod quant;
 pub mod rng;
+pub mod simd;
 mod sparse;
 pub mod stats;
 

@@ -1,6 +1,7 @@
 //! Row-major dense `f32` matrices.
 
 use crate::rng::Rng;
+use crate::simd::{self, Kernel};
 use crate::{Result, ShapeError};
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -593,56 +594,85 @@ const GEMM_JW: usize = 2 * GEMM_JT;
 /// feeds every live lane. Each output element is produced by a single
 /// `k`-ascending chain of `acc += a * b` updates — the same floating-point
 /// evaluation order as the scalar two-loop form, so tiling does not change
-/// results bitwise.
+/// results bitwise. The loop runs through [`simd::run`], so the AVX2
+/// instance (8 lanes per vector, same chains) is taken where available.
 fn row_times_matrix(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
-    debug_assert_eq!(out_row.len(), n);
-    debug_assert_eq!(b.len(), a_row.len() * n);
-    let mut j0 = 0;
-    while j0 + GEMM_JW <= n {
-        let mut lo = [0.0f32; GEMM_JT];
-        let mut hi = [0.0f32; GEMM_JT];
-        for (k, &a) in a_row.iter().enumerate() {
-            let row = k * n + j0;
-            let blk0: &[f32; GEMM_JT] = b[row..row + GEMM_JT]
-                .try_into()
-                .expect("block width is GEMM_JT");
-            let blk1: &[f32; GEMM_JT] = b[row + GEMM_JT..row + GEMM_JW]
-                .try_into()
-                .expect("block width is GEMM_JT");
-            for (o, &v) in lo.iter_mut().zip(blk0) {
-                *o += a * v;
+    simd::run(RowTimesMatrix {
+        a_row,
+        b,
+        n,
+        out_row,
+    });
+}
+
+/// [`row_times_matrix`] as a [`Kernel`].
+struct RowTimesMatrix<'a> {
+    a_row: &'a [f32],
+    b: &'a [f32],
+    n: usize,
+    out_row: &'a mut [f32],
+}
+
+impl Kernel for RowTimesMatrix<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Self {
+            a_row,
+            b,
+            n,
+            out_row,
+        } = self;
+        debug_assert_eq!(out_row.len(), n);
+        debug_assert_eq!(b.len(), a_row.len() * n);
+        let mut j0 = 0;
+        while j0 + GEMM_JW <= n {
+            let mut lo = [0.0f32; GEMM_JT];
+            let mut hi = [0.0f32; GEMM_JT];
+            for (k, &a) in a_row.iter().enumerate() {
+                let row = k * n + j0;
+                let blk0: &[f32; GEMM_JT] = b[row..row + GEMM_JT]
+                    .try_into()
+                    .expect("block width is GEMM_JT");
+                let blk1: &[f32; GEMM_JT] = b[row + GEMM_JT..row + GEMM_JW]
+                    .try_into()
+                    .expect("block width is GEMM_JT");
+                for (o, &v) in lo.iter_mut().zip(blk0) {
+                    *o += a * v;
+                }
+                for (o, &v) in hi.iter_mut().zip(blk1) {
+                    *o += a * v;
+                }
             }
-            for (o, &v) in hi.iter_mut().zip(blk1) {
-                *o += a * v;
-            }
+            out_row[j0..j0 + GEMM_JT].copy_from_slice(&lo);
+            out_row[j0 + GEMM_JT..j0 + GEMM_JW].copy_from_slice(&hi);
+            j0 += GEMM_JW;
         }
-        out_row[j0..j0 + GEMM_JT].copy_from_slice(&lo);
-        out_row[j0 + GEMM_JT..j0 + GEMM_JW].copy_from_slice(&hi);
-        j0 += GEMM_JW;
-    }
-    while j0 + GEMM_JT <= n {
-        let mut acc = [0.0f32; GEMM_JT];
-        for (k, &a) in a_row.iter().enumerate() {
-            let blk: &[f32; GEMM_JT] = b[k * n + j0..k * n + j0 + GEMM_JT]
-                .try_into()
-                .expect("block width is GEMM_JT");
-            for (o, &v) in acc.iter_mut().zip(blk) {
-                *o += a * v;
+        while j0 + GEMM_JT <= n {
+            let mut acc = [0.0f32; GEMM_JT];
+            for (k, &a) in a_row.iter().enumerate() {
+                let blk: &[f32; GEMM_JT] = b[k * n + j0..k * n + j0 + GEMM_JT]
+                    .try_into()
+                    .expect("block width is GEMM_JT");
+                for (o, &v) in acc.iter_mut().zip(blk) {
+                    *o += a * v;
+                }
             }
+            out_row[j0..j0 + GEMM_JT].copy_from_slice(&acc);
+            j0 += GEMM_JT;
         }
-        out_row[j0..j0 + GEMM_JT].copy_from_slice(&acc);
-        j0 += GEMM_JT;
-    }
-    if j0 < n {
-        let rem = n - j0;
-        let mut acc = [0.0f32; GEMM_JT];
-        for (k, &a) in a_row.iter().enumerate() {
-            let tail = &b[k * n + j0..k * n + n];
-            for (o, &v) in acc[..rem].iter_mut().zip(tail) {
-                *o += a * v;
+        if j0 < n {
+            let rem = n - j0;
+            let mut acc = [0.0f32; GEMM_JT];
+            for (k, &a) in a_row.iter().enumerate() {
+                let tail = &b[k * n + j0..k * n + n];
+                for (o, &v) in acc[..rem].iter_mut().zip(tail) {
+                    *o += a * v;
+                }
             }
+            out_row[j0..].copy_from_slice(&acc[..rem]);
         }
-        out_row[j0..].copy_from_slice(&acc[..rem]);
     }
 }
 
@@ -688,6 +718,42 @@ impl fmt::Debug for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `simd::run` takes the AVX2 instance on an AVX2 host, while `k.run()`
+    /// is compiled into this baseline test body: the two must agree bitwise.
+    #[test]
+    fn row_kernel_instances_are_bit_identical() {
+        let mut rng = Rng::seed_from(41);
+        for n in [1, 15, 16, 17, 31, 32, 33, 64, 129] {
+            for k in [0, 1, 7, 64, 256] {
+                let a: Vec<f32> = (0..k).map(|_| rng.normal(0.0, 2.0)).collect();
+                let b: Vec<f32> = (0..k * n).map(|_| rng.normal(0.0, 0.5)).collect();
+                let mut base = vec![f32::NAN; n];
+                let mut dispatched = vec![f32::NAN; n];
+                RowTimesMatrix {
+                    a_row: &a,
+                    b: &b,
+                    n,
+                    out_row: &mut base,
+                }
+                .run();
+                simd::run(RowTimesMatrix {
+                    a_row: &a,
+                    b: &b,
+                    n,
+                    out_row: &mut dispatched,
+                });
+                assert_eq!(bits(&base), bits(&dispatched), "n={n} k={k}");
+            }
+        }
+        if !simd::avx2_detected() {
+            eprintln!("no AVX2 on this CPU: compared the baseline instance only");
+        }
+    }
 
     fn sample() -> Matrix {
         Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]])

@@ -124,6 +124,7 @@ impl Quantizer {
     /// Quantizes a single value (deterministic rounding only).
     ///
     /// For [`Rounding::Stochastic`] use [`Quantizer::quantize_with`].
+    #[inline(always)]
     pub fn quantize(&self, x: f32) -> f32 {
         match self.rounding {
             Rounding::Nearest => self.quantize_nearest(x),
@@ -142,6 +143,7 @@ impl Quantizer {
         }
     }
 
+    #[inline(always)]
     fn clip(&self, x: f32) -> f32 {
         // NaN maps to 0 rather than poisoning downstream accumulations.
         if x.is_nan() {
@@ -150,6 +152,7 @@ impl Quantizer {
         x.clamp(-self.bound, self.bound)
     }
 
+    #[inline(always)]
     fn quantize_nearest(&self, x: f32) -> f32 {
         let x = self.clip(x);
         if x == 0.0 {

@@ -6,6 +6,8 @@
 //! reproducible from a single `u64` seed and lets independent subsystems
 //! derive decorrelated streams with [`Rng::fork`].
 
+use crate::simd::{self, Kernel};
+
 /// A seedable xoshiro256++ pseudo-random generator.
 ///
 /// xoshiro256++ passes BigCrush and is the default engine in several
@@ -92,6 +94,7 @@ impl Rng {
     }
 
     /// Returns the next raw 64-bit output.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
@@ -242,27 +245,12 @@ impl Rng {
     /// Panics if `std` is negative or non-finite.
     pub fn fill_normal_icdf(&mut self, buf: &mut [f32], mean: f32, std: f32) {
         assert!(std.is_finite() && std >= 0.0, "std must be finite and >= 0");
-        // Chunked two-pass evaluation: the uniform draws are inherently
-        // sequential (one 53-bit draw per sample, stashed in `ps`), but the
-        // central-region rational polynomial is branch-free over the chunk,
-        // so the compiler can vectorize it. The rare tail samples (~4.85%)
-        // are then patched scalar from the stashed uniforms. Per-sample
-        // values are identical to the unchunked per-element loop.
-        const CHUNK: usize = 64;
-        let mut ps = [0.0f64; CHUNK];
-        for chunk in buf.chunks_mut(CHUNK) {
-            for p in ps[..chunk.len()].iter_mut() {
-                *p = Self::unit_open_f64(self.next_u64());
-            }
-            for (v, &p) in chunk.iter_mut().zip(ps.iter()) {
-                *v = mean + std * (inv_norm_cdf_central(p.clamp(P_LOW, 1.0 - P_LOW)) as f32);
-            }
-            for (v, &p) in chunk.iter_mut().zip(ps.iter()) {
-                if !(P_LOW..=1.0 - P_LOW).contains(&p) {
-                    *v = mean + std * (inv_norm_cdf(p) as f32);
-                }
-            }
-        }
+        simd::run(FillNormalIcdf {
+            rng: self,
+            buf,
+            mean,
+            std,
+        });
     }
 
     /// Maps a raw `u64` draw to a uniform in the open interval `(0, 1)`:
@@ -347,16 +335,55 @@ impl Rng {
     }
 }
 
+/// [`Rng::fill_normal_icdf`] as a [`Kernel`].
+struct FillNormalIcdf<'a> {
+    rng: &'a mut Rng,
+    buf: &'a mut [f32],
+    mean: f32,
+    std: f32,
+}
+
+impl Kernel for FillNormalIcdf<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Self {
+            rng,
+            buf,
+            mean,
+            std,
+        } = self;
+        // Chunked two-pass evaluation: the uniform draws are inherently
+        // sequential (one 53-bit draw per sample, stashed in `ps`), but the
+        // central-region rational polynomial is branch-free over the chunk,
+        // so the compiler can vectorize it. The rare tail samples (~4.85%)
+        // are then patched scalar from the stashed uniforms. Per-sample
+        // values are identical to the unchunked per-element loop.
+        const CHUNK: usize = 64;
+        let mut ps = [0.0f64; CHUNK];
+        for chunk in buf.chunks_mut(CHUNK) {
+            for p in ps[..chunk.len()].iter_mut() {
+                *p = Rng::unit_open_f64(rng.next_u64());
+            }
+            for (v, &p) in chunk.iter_mut().zip(ps.iter()) {
+                *v = mean + std * (inv_norm_cdf_central(p.clamp(P_LOW, 1.0 - P_LOW)) as f32);
+            }
+            for (v, &p) in chunk.iter_mut().zip(ps.iter()) {
+                if !(P_LOW..=1.0 - P_LOW).contains(&p) {
+                    *v = mean + std * (inv_norm_cdf(p) as f32);
+                }
+            }
+        }
+    }
+}
+
 impl Default for Rng {
     fn default() -> Self {
         Self::seed_from(0)
     }
 }
 
-/// Inverse of the standard normal CDF (quantile function), Acklam's rational
-/// approximation: relative error below `1.15e-9` over the full open unit
-/// interval — far beneath `f32` noise-sample resolution, and validated
-/// against the erf-based reference in the noise-conformance suite.
 /// Central/tail split point of Acklam's approximation (both tails).
 const P_LOW: f64 = 0.02425;
 
@@ -388,6 +415,10 @@ fn inv_norm_cdf_central(p: f64) -> f64 {
         / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
 }
 
+/// Inverse of the standard normal CDF (quantile function), Acklam's rational
+/// approximation: relative error below `1.15e-9` over the full open unit
+/// interval — far beneath `f32` noise-sample resolution, and validated
+/// against the erf-based reference in the noise-conformance suite.
 fn inv_norm_cdf(p: f64) -> f64 {
     debug_assert!(p > 0.0 && p < 1.0, "p must be in (0, 1), got {p}");
     const C: [f64; 6] = [
@@ -683,6 +714,46 @@ mod tests {
         let mut buf = vec![9.0f32; 6];
         rng.fill_normal(&mut buf, 4.0, 0.0);
         assert!(buf.iter().all(|&v| v == 4.0), "{buf:?}");
+    }
+
+    /// Lengths 0..=200 cross the 64-sample chunk and the tail patching;
+    /// the dispatched instance must write the same bits and leave the
+    /// generator in the same state as the baseline one.
+    #[test]
+    fn icdf_fill_instances_are_bit_identical() {
+        let mut tails = 0;
+        for len in 0..=200usize {
+            let mut rng_base = Rng::seed_from(len as u64 ^ 0x51);
+            let mut rng_dispatched = rng_base.clone();
+            let mut base = vec![f32::NAN; len];
+            let mut dispatched = vec![f32::NAN; len];
+            FillNormalIcdf {
+                rng: &mut rng_base,
+                buf: &mut base,
+                mean: 0.25,
+                std: 1.5,
+            }
+            .run();
+            simd::run(FillNormalIcdf {
+                rng: &mut rng_dispatched,
+                buf: &mut dispatched,
+                mean: 0.25,
+                std: 1.5,
+            });
+            let base_bits: Vec<u32> = base.iter().map(|v| v.to_bits()).collect();
+            let dispatched_bits: Vec<u32> = dispatched.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(base_bits, dispatched_bits, "len={len}");
+            assert_eq!(rng_base, rng_dispatched, "len={len}");
+            // Tail samples (|z| > 1.9728, patched by the full inverse).
+            tails += base
+                .iter()
+                .filter(|&&v| (v - 0.25).abs() > 1.5 * 1.98)
+                .count();
+        }
+        assert!(tails > 100, "only {tails} tail samples exercised");
+        if !simd::avx2_detected() {
+            eprintln!("no AVX2 on this CPU: compared the baseline instance only");
+        }
     }
 
     #[test]
