@@ -187,13 +187,6 @@ fn main() {
         );
     }
 
-    // Batch-of-1 analog decode: the single-token KV-cached step that the
-    // serving engine issues per slot, measured bare (no engine scaffolding).
-    let mut cache = nora_nn::KvCache::new(&model);
-    bench_throughput("analog_decode_step_batch1", 1, || {
-        std::hint::black_box(analog.decode_step(3, &mut cache));
-    });
-
     // Maintained (drift-aware) analog serving: same workload, with the
     // virtual clock and maintenance scheduler active — drift re-reads, α̂
     // recalibration and background rotation all run inside the engine's

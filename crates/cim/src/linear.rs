@@ -113,8 +113,6 @@ pub struct AnalogLinear {
     /// counter-keyed noise streams (the keyed decode path derives each
     /// row's stream from `(seed, grid coords, request seed, position)`).
     seed: u64,
-    /// Reusable per-tile output buffer for the batch-of-1 decode fast path.
-    row_scratch: Vec<f32>,
     /// When set, flagged tiles are *not* recovered inline during a forward:
     /// the flag is recorded and the degraded partial sums are served, while
     /// an external maintenance scheduler drains [`AnalogLinear::suspect_tiles`]
@@ -315,7 +313,6 @@ impl AnalogLinear {
             spares_used,
             next_spare_id,
             seed,
-            row_scratch: Vec::new(),
             deferred_recovery: false,
         })
     }
@@ -377,9 +374,6 @@ impl AnalogLinear {
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.d_in, "input width mismatch");
         let batch = x.rows();
-        if batch == 1 {
-            return self.forward_single(x);
-        }
         let recovery = self.config.fault_tolerance.is_active();
         let mut y = Matrix::zeros(batch, self.d_out);
         // Phase 1 — independent tile forwards, fanned across worker threads.
@@ -449,61 +443,6 @@ impl AnalogLinear {
                 for (v, &bv) in y.row_mut(i).iter_mut().zip(b) {
                     *v += bv;
                 }
-            }
-        }
-        y
-    }
-
-    /// Batch-of-1 fast path for single-token decode: each tile reads its
-    /// input band straight out of the caller's row and writes into a reused
-    /// scratch buffer, skipping the per-tile `submatrix` and partial-result
-    /// `Matrix` allocations of the batched path. Running the tiles serially
-    /// is bit-identical to the fanned-out path — every tile owns its RNG
-    /// stream, and the partial sums are accumulated in grid-index order
-    /// either way.
-    fn forward_single(&mut self, x: &Matrix) -> Matrix {
-        let recovery = self.config.fault_tolerance.is_active();
-        let mut y = Matrix::zeros(1, self.d_out);
-        let xrow = x.row(0);
-        let mut part = std::mem::take(&mut self.row_scratch);
-        for idx in 0..self.entries.len() {
-            let e = &mut self.entries[idx];
-            let (r0, c0, rows) = (e.r0, e.c0, e.rows());
-            let xin = &xrow[r0..r0 + rows];
-            let flagged = match &mut e.slot {
-                TileSlot::Digital(w) => {
-                    w.vecmat_into(xin, &mut part);
-                    None
-                }
-                TileSlot::Analog(tile) => {
-                    let report = tile.forward_row_checked(xin, &mut part);
-                    (recovery && report.suspicious).then_some(report)
-                }
-            };
-            if let Some(report) = flagged {
-                if self.deferred_recovery {
-                    // Degraded mode: flag and serve the faulty partial sums.
-                    self.note_flag(idx, &report);
-                } else {
-                    // Rare path: recovery mutates the shared event log / spare
-                    // pool, so hand it the same Matrix views the batched path
-                    // would use.
-                    let x_slice = x.submatrix(0, 1, r0, r0 + rows);
-                    let faulty = Matrix::from_vec(1, part.len(), part.clone());
-                    let recovered = self.recover_entry(idx, &x_slice, faulty, report);
-                    part.clear();
-                    part.extend_from_slice(recovered.row(0));
-                }
-            }
-            let dst = &mut y.row_mut(0)[c0..c0 + part.len()];
-            for (d, &p) in dst.iter_mut().zip(&part) {
-                *d += p;
-            }
-        }
-        self.row_scratch = part;
-        if let Some(b) = &self.bias {
-            for (v, &bv) in y.row_mut(0).iter_mut().zip(b) {
-                *v += bv;
             }
         }
         y

@@ -836,47 +836,6 @@ impl AnalogTile {
         (y, report)
     }
 
-    /// Single-sample forward into a caller-provided buffer: `x` is one
-    /// input row of length `rows`, `out` is cleared and resized to `cols`.
-    /// Bit-identical to [`AnalogTile::forward_checked`] on the equivalent
-    /// `1 × rows` batch — this is the decode fast path that lets callers
-    /// skip the per-step input/output `Matrix` allocations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.rows()`.
-    pub fn forward_row_checked(&mut self, x: &[f32], out: &mut Vec<f32>) -> AbftReport {
-        assert_eq!(
-            x.len(),
-            self.rows(),
-            "input width {} vs tile rows {}",
-            x.len(),
-            self.rows()
-        );
-        out.clear();
-        out.resize(self.cols(), 0.0);
-        let mut report = AbftReport {
-            enabled: self.abft.is_some(),
-            ..AbftReport::default()
-        };
-        let mut silent = SilentAcc::default();
-        let mut rng = std::mem::take(&mut self.rng);
-        let mut sc = std::mem::take(&mut self.scratch);
-        let mut stats = self.stats;
-        {
-            let mut ns = NoiseStream {
-                rng: &mut rng,
-                icdf: false,
-            };
-            self.forward_row_ex(&mut ns, &mut sc, &mut stats, x, out, &mut report, &mut silent);
-        }
-        self.rng = rng;
-        self.scratch = sc;
-        self.stats = stats;
-        self.finish_report(&mut report, &silent);
-        report
-    }
-
     /// Stateless single-sample forward for **counter-keyed** noise streams:
     /// the batched-serving fast path that shares the tile immutably across
     /// slot workers.
@@ -887,8 +846,8 @@ impl AnalogTile {
     /// is independent of admission order, batch composition and thread
     /// count. Draws use the inverse-CDF Gaussian sampler (one `u64` per
     /// sample) rather than legacy Box–Muller: keyed streams are a new,
-    /// documented bit-contract, distinct from the sequential streams that
-    /// [`AnalogTile::forward_checked`] preserves for compat mode.
+    /// documented bit-contract, distinct from the sequential streams of
+    /// [`AnalogTile::forward_checked`] that the batched eval path draws.
     ///
     /// Nothing on the tile is touched: accumulated statistics come back as
     /// a delta for the caller to [`AnalogTile::absorb_stats`] in a
@@ -2254,53 +2213,63 @@ mod tests {
         }
     }
 
+    /// Runs `x` through a tile built from `cfg` on the fast path and
+    /// through a clone switched to the naive reference chain; outputs and
+    /// statistics must agree bit for bit. The clone starts from the same
+    /// RNG state and programmed weights, so any divergence in RNG draw
+    /// order or arithmetic shows up as a bit mismatch.
+    fn assert_fast_path_matches_reference(w: &Matrix, x: &Matrix, cfg: TileConfig, ctx: &str) {
+        let mut fast = AnalogTile::new(w.clone(), None, cfg, Rng::seed_from(202));
+        let mut naive = fast.clone();
+        naive.use_reference_path();
+        let y_fast = fast.forward(x);
+        let y_ref = naive.forward(x);
+        for (i, (a, b)) in y_fast.as_slice().iter().zip(y_ref.as_slice()).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{ctx}: output {i} diverged: fast {a} vs reference {b}"
+            );
+        }
+        assert_eq!(fast.stats(), naive.stats(), "{ctx}: stats diverged");
+    }
+
     /// The tentpole equivalence property: the hoisted/fused conversion fast
     /// path must be **bit-identical** to the naive reference (one full
     /// per-stage chain per read-averaging repeat, scalar noise draws) for
     /// every read-averaging depth, with and without input noise, hard
-    /// faults, and bit-serial encoding. The reference tile is a clone, so
-    /// both start from the same RNG state and programmed weights; any
-    /// divergence in RNG draw order or arithmetic shows up as a bit
-    /// mismatch.
+    /// faults, and bit-serial encoding. The ideal-ADC arm passes the
+    /// readings through unquantized, so a 1-ulp divergence in the DAC or
+    /// MVM cannot round away under the 7-bit grid.
     #[test]
     fn averaged_fast_path_matches_naive_reference() {
         use crate::config::InputEncoding;
         let (w, x) = random_setup(201, 48, 24);
-        for encoding in [InputEncoding::Analog, InputEncoding::BitSerial { bits: 7 }] {
-            for ra in [1u32, 4, 16] {
-                for in_noise in [0.0f32, 0.02] {
-                    for faults in [false, true] {
-                        let mut cfg = TileConfig::paper_default().with_tile_size(48, 24);
-                        cfg.input_encoding = encoding;
-                        cfg.read_averaging = ra;
-                        cfg.in_noise = in_noise;
-                        if faults {
-                            cfg.fault_plan = Some(FaultPlan {
-                                seed: 3,
-                                stuck_low: 0.01,
-                                stuck_high: 0.01,
-                                adc_stuck: 0.05,
-                                ..FaultPlan::none()
-                            });
-                        }
-                        let ctx = format!(
-                            "encoding {encoding:?} ra {ra} in_noise {in_noise} faults {faults}"
-                        );
-                        let mut fast = AnalogTile::new(w.clone(), None, cfg, Rng::seed_from(202));
-                        let mut naive = fast.clone();
-                        naive.use_reference_path();
-                        let y_fast = fast.forward(&x);
-                        let y_ref = naive.forward(&x);
-                        for (i, (a, b)) in
-                            y_fast.as_slice().iter().zip(y_ref.as_slice()).enumerate()
-                        {
-                            assert_eq!(
-                                a.to_bits(),
-                                b.to_bits(),
-                                "{ctx}: output {i} diverged: fast {a} vs reference {b}"
+        for adc in [Resolution::bits(7), Resolution::Ideal] {
+            for encoding in [InputEncoding::Analog, InputEncoding::BitSerial { bits: 7 }] {
+                for ra in [1u32, 4, 16] {
+                    for in_noise in [0.0f32, 0.02] {
+                        for faults in [false, true] {
+                            let mut cfg = TileConfig::paper_default().with_tile_size(48, 24);
+                            cfg.adc = adc;
+                            cfg.input_encoding = encoding;
+                            cfg.read_averaging = ra;
+                            cfg.in_noise = in_noise;
+                            if faults {
+                                cfg.fault_plan = Some(FaultPlan {
+                                    seed: 3,
+                                    stuck_low: 0.01,
+                                    stuck_high: 0.01,
+                                    adc_stuck: 0.05,
+                                    ..FaultPlan::none()
+                                });
+                            }
+                            let ctx = format!(
+                                "adc {adc:?} encoding {encoding:?} ra {ra} in_noise {in_noise} \
+                                 faults {faults}"
                             );
+                            assert_fast_path_matches_reference(&w, &x, cfg, &ctx);
                         }
-                        assert_eq!(fast.stats(), naive.stats(), "{ctx}: stats diverged");
                     }
                 }
             }
@@ -2317,26 +2286,17 @@ mod tests {
         // Analog encoding only: ABFT + bit-serial is unsupported (the
         // checksum column is not carried through the plane sweep).
         let (w, x) = random_setup(211, 48, 24);
-        for ra in [1u32, 4, 16] {
-            for in_noise in [0.0f32, 0.02] {
-                let mut cfg = TileConfig::paper_default().with_tile_size(48, 25);
-                cfg.read_averaging = ra;
-                cfg.in_noise = in_noise;
-                cfg.fault_tolerance = FaultTolerance::protected();
-                let ctx = format!("ra {ra} in_noise {in_noise}");
-                let mut fast = AnalogTile::new(w.clone(), None, cfg, Rng::seed_from(202));
-                let mut naive = fast.clone();
-                naive.use_reference_path();
-                let y_fast = fast.forward(&x);
-                let y_ref = naive.forward(&x);
-                for (i, (a, b)) in y_fast.as_slice().iter().zip(y_ref.as_slice()).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{ctx}: output {i} diverged: fast {a} vs ref {b}"
-                    );
+        for adc in [Resolution::bits(7), Resolution::Ideal] {
+            for ra in [1u32, 4, 16] {
+                for in_noise in [0.0f32, 0.02] {
+                    let mut cfg = TileConfig::paper_default().with_tile_size(48, 25);
+                    cfg.adc = adc;
+                    cfg.read_averaging = ra;
+                    cfg.in_noise = in_noise;
+                    cfg.fault_tolerance = FaultTolerance::protected();
+                    let ctx = format!("adc {adc:?} ra {ra} in_noise {in_noise}");
+                    assert_fast_path_matches_reference(&w, &x, cfg, &ctx);
                 }
-                assert_eq!(fast.stats(), naive.stats(), "{ctx}: stats diverged");
             }
         }
     }

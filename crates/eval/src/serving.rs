@@ -13,8 +13,7 @@ use nora_nn::deploy::AnalogTransformerLm;
 use nora_nn::generate::{generate_digital_cached, Sampling};
 use nora_nn::TransformerLm;
 use nora_serve::{
-    AnalogBackend, AnalogKeying, Backend, DigitalBackend, EngineConfig, GenRequest, GenResult,
-    GenerationEngine,
+    AnalogBackend, Backend, DigitalBackend, EngineConfig, GenRequest, GenResult, GenerationEngine,
 };
 use nora_tensor::rng::Rng;
 
@@ -208,11 +207,7 @@ pub fn analog_serving_consistency(
     workload: &ServingWorkload,
     max_batch: usize,
 ) -> ServingSummary {
-    let (batched, mut summary) = serve_workload(
-        AnalogBackend::with_keying(analog, AnalogKeying::Keyed),
-        workload,
-        max_batch,
-    );
+    let (batched, mut summary) = serve_workload(AnalogBackend::new(analog), workload, max_batch);
     summary.mismatches = batched
         .iter()
         .zip(&workload.requests)
@@ -220,11 +215,7 @@ pub fn analog_serving_consistency(
             let solo_workload = ServingWorkload {
                 requests: vec![(*request).clone()],
             };
-            let (solo, _) = serve_workload(
-                AnalogBackend::with_keying(analog, AnalogKeying::Keyed),
-                &solo_workload,
-                1,
-            );
+            let (solo, _) = serve_workload(AnalogBackend::new(analog), &solo_workload, 1);
             result.tokens != solo[0].tokens
         })
         .count();

@@ -255,74 +255,14 @@ impl AnalogTransformerLm {
         self.model.head.forward(&x)
     }
 
-    /// One incremental decode step on the analog deployment (see
-    /// [`TransformerLm::decode_step`] for the cache contract). The K/V rows
-    /// appended to the cache are the *analog* projections — the cache holds
-    /// what the hardware actually computed.
-    ///
-    /// # Panics
-    ///
-    /// On a full cache the ring evicts the oldest position instead of
-    /// panicking, exactly as in the digital [`TransformerLm::decode_step`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache is mismatched or `token` is out of vocabulary.
-    pub fn decode_step(&mut self, token: usize, cache: &mut KvCache) -> Vec<f32> {
-        use nora_tensor::Matrix as M;
-        let model = &self.model;
-        let pos = cache.next_position();
-        let d = model.config().d_model;
-        let mut x = M::zeros(1, d);
-        {
-            assert!(token < model.config().vocab, "token out of vocab");
-            let te = model.embedding.tokens.value.row(token);
-            let pe = model.embedding.positions.value.row(pos);
-            for (o, (&a, &b)) in x.row_mut(0).iter_mut().zip(te.iter().zip(pe)) {
-                *o = a + b;
-            }
-        }
-        let analog = &mut self.analog;
-        let mut run =
-            |b: usize, kind: LinearKind, digital: &crate::DigitalLinear, input: &M| match analog
-                .get_mut(&LinearId::new(b, kind))
-            {
-                Some(layer) => layer.forward(input),
-                None => digital.forward(input),
-            };
-        for (b, block) in model.blocks.iter().enumerate() {
-            let ln1_out = block.ln1.forward_inference(&x);
-            let q = run(b, LinearKind::Q, &block.attn.wq, &ln1_out);
-            let k = run(b, LinearKind::K, &block.attn.wk, &ln1_out);
-            let v = run(b, LinearKind::V, &block.attn.wv, &ln1_out);
-            cache.append(b, k.row(0), v.row(0));
-            let (kc, vc) = cache.view(b);
-
-            let context = block.attn.attend_one(q.row(0), kc, vc);
-            let context = M::from_vec(1, d, context);
-            let attn_out = run(b, LinearKind::Out, &block.attn.wo, &context);
-            // Residual adds and ReLU run in place (same operand order, so
-            // bit-identical) — single-token decode is allocation-sensitive.
-            let mut x1 = x;
-            x1.add_assign(&attn_out);
-            let ln2_out = block.ln2.forward_inference(&x1);
-            let mut h = run(b, LinearKind::Fc1, &block.fc1, &ln2_out);
-            h.map_assign(|v| v.max(0.0));
-            let f = run(b, LinearKind::Fc2, &block.fc2, &h);
-            x = x1;
-            x.add_assign(&f);
-        }
-        cache.advance();
-        let x = model.final_ln.forward_inference(&x);
-        model.head.forward(&x).into_vec()
-    }
-
-    /// Stateless variant of [`AnalogTransformerLm::decode_step`] on
-    /// **counter-keyed** noise streams: the deployment is shared immutably
-    /// across concurrent serving slots, and every tile's noise sequence is
-    /// a pure function of `(layer seed, tile grid coordinates, noise_seed,
-    /// position)` — independent of admission order, batch composition and
-    /// thread count.
+    /// One incremental decode step on the analog deployment, on
+    /// **counter-keyed** noise streams (see [`TransformerLm::decode_step`]
+    /// for the cache contract). The K/V rows appended to the cache are the
+    /// *analog* projections — the cache holds what the hardware actually
+    /// computed. The deployment is shared immutably across concurrent
+    /// serving slots, and every tile's noise sequence is a pure function of
+    /// `(layer seed, tile grid coordinates, noise_seed, position)` —
+    /// independent of admission order, batch composition and thread count.
     ///
     /// `noise_seed` identifies the request (its sampling seed), `position`
     /// is the request's cumulative decode-step counter (prefill and rebase

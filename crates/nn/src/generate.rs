@@ -1,11 +1,13 @@
-//! Autoregressive text generation on digital or analog deployments.
+//! Token sampling and the FP32 reference generation loops.
 //!
 //! NORA targets *inference*: the ultimate consumer of an analog-deployed LM
-//! is a token-by-token decode loop. This module provides that loop for both
-//! the FP32 digital model and [`crate::deploy::AnalogTransformerLm`], with
-//! greedy and temperature sampling.
+//! is a token-by-token decode loop. That loop is the serving engine
+//! (`nora_serve::GenerationEngine`), which decodes an analog deployment
+//! through [`crate::deploy::AnalogTransformerLm::decode_step_keyed`]. This
+//! module holds the sampler it shares and the two digital loops the engine
+//! is tested against: the uncached truncation reference and its KV-cached
+//! equivalent.
 
-use crate::deploy::AnalogTransformerLm;
 use crate::model::TransformerLm;
 use nora_tensor::rng::Rng;
 use nora_tensor::Matrix;
@@ -73,31 +75,6 @@ pub fn generate_digital(
     tokens
 }
 
-/// Generates `new_tokens` continuation tokens from `prompt` on an analog
-/// deployment.
-///
-/// # Panics
-///
-/// Panics if `prompt` is empty.
-pub fn generate_analog(
-    analog: &mut AnalogTransformerLm,
-    prompt: &[usize],
-    new_tokens: usize,
-    sampling: Sampling,
-    rng: &mut Rng,
-) -> Vec<usize> {
-    assert!(!prompt.is_empty(), "empty prompt");
-    let max_seq = analog.digital_model().config().max_seq;
-    let mut tokens = prompt.to_vec();
-    for _ in 0..new_tokens {
-        let start = tokens.len().saturating_sub(max_seq);
-        let logits = analog.forward(&tokens[start..]);
-        let next = sample_logits(logits.row(logits.rows() - 1), sampling, rng);
-        tokens.push(next);
-    }
-    tokens
-}
-
 /// KV-cached greedy/temperature generation with the FP32 digital model:
 /// `O(L)` per token instead of `O(L²)` while the context fits the window.
 ///
@@ -147,53 +124,10 @@ pub fn generate_digital_cached(
     tokens
 }
 
-/// KV-cached generation on an analog deployment, with the same
-/// sliding-window rebase semantics as [`generate_digital_cached`].
-///
-/// The cached K/V rows are the *analog* projections. On noisy tiles the
-/// token stream is not expected to equal [`generate_analog`]'s (each path
-/// consumes tile noise in a different order); on ideal tiles the two agree
-/// under greedy decoding up to the usual decode-vs-forward float tolerance.
-///
-/// # Panics
-///
-/// Panics if `prompt` is empty.
-pub fn generate_analog_cached(
-    analog: &mut AnalogTransformerLm,
-    prompt: &[usize],
-    new_tokens: usize,
-    sampling: Sampling,
-    rng: &mut Rng,
-) -> Vec<usize> {
-    assert!(!prompt.is_empty(), "empty prompt");
-    let window = analog.digital_model().config().max_seq;
-    let mut cache = crate::model::KvCache::new(analog.digital_model());
-    let mut tokens = prompt.to_vec();
-    let mut logits = Vec::new();
-    for &t in &tokens[tokens.len().saturating_sub(window)..] {
-        logits = analog.decode_step(t, &mut cache);
-    }
-    for _ in 0..new_tokens {
-        let next = sample_logits(&logits, sampling, rng);
-        tokens.push(next);
-        if !cache.has_capacity() {
-            cache.reset();
-            let len = tokens.len();
-            for &t in &tokens[len - window..len - 1] {
-                analog.decode_step(t, &mut cache);
-            }
-        }
-        logits = analog.decode_step(next, &mut cache);
-    }
-    tokens
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deploy::SmoothingMap;
     use crate::model::ModelConfig;
-    use nora_cim::TileConfig;
 
     fn model() -> TransformerLm {
         TransformerLm::new(ModelConfig::tiny_for_tests(), &mut Rng::seed_from(1))
@@ -223,17 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn analog_generation_on_ideal_tiles_matches_digital_greedy() {
-        let m = model();
-        let mut analog =
-            AnalogTransformerLm::new(&m, TileConfig::ideal(), &SmoothingMap::new(), 6);
-        let mut rng = Rng::seed_from(7);
-        let dig = generate_digital(&m, &[2, 4], 8, Sampling::Greedy, &mut rng.clone());
-        let ana = generate_analog(&mut analog, &[2, 4], 8, Sampling::Greedy, &mut rng);
-        assert_eq!(dig, ana);
-    }
-
-    #[test]
     fn cached_generation_matches_uncached_greedy() {
         let m = model();
         let mut rng = Rng::seed_from(11);
@@ -241,23 +164,6 @@ mod tests {
         let cached =
             generate_digital_cached(&m, &[2, 7, 1], 9, Sampling::Greedy, &mut rng);
         assert_eq!(full, cached);
-    }
-
-    #[test]
-    fn analog_decode_step_matches_analog_forward_on_ideal_tiles() {
-        let m = model();
-        let mut analog =
-            AnalogTransformerLm::new(&m, TileConfig::ideal(), &SmoothingMap::new(), 12);
-        let tokens = [4usize, 2, 8, 6];
-        let full = analog.forward(&tokens);
-        let mut cache = crate::model::KvCache::new(&m);
-        let mut last = Vec::new();
-        for &t in &tokens {
-            last = analog.decode_step(t, &mut cache);
-        }
-        for (a, b) in last.iter().zip(full.row(tokens.len() - 1)) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
     }
 
     #[test]
@@ -285,21 +191,6 @@ mod tests {
         let cached =
             generate_digital_cached(&m, &prompt, 12, Sampling::Temperature(1.3), &mut rng);
         assert_eq!(full, cached);
-    }
-
-    #[test]
-    fn analog_cached_generation_slides_on_ideal_tiles() {
-        // Ideal tiles are deterministic, so the cached analog loop must
-        // match the cached digital loop greedy-for-greedy past the window.
-        let m = model();
-        let mut analog =
-            AnalogTransformerLm::new(&m, TileConfig::ideal(), &SmoothingMap::new(), 15);
-        let mut rng = Rng::seed_from(16);
-        let dig =
-            generate_digital_cached(&m, &[3, 1, 4], 25, Sampling::Greedy, &mut rng.clone());
-        let ana =
-            generate_analog_cached(&mut analog, &[3, 1, 4], 25, Sampling::Greedy, &mut rng);
-        assert_eq!(dig, ana);
     }
 
     #[test]

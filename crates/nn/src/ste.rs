@@ -28,7 +28,7 @@
 
 use crate::corpus::Corpus;
 use crate::model::{LinearId, TransformerLm};
-use crate::trainer::{TrainConfig, TrainReport, WeightRestore};
+use crate::trainer::{optimizer_step, TrainConfig, TrainReport, WeightRestore};
 use nora_cim::converter::Dac;
 use nora_cim::{NoiseManagement, TileConfig};
 use nora_tensor::rng::Rng;
@@ -283,36 +283,9 @@ fn train_ste_loop(
             }
         }
         step_loss /= cfg.base.batch_size as f64;
-
         // Straight-through update: gradients taken at the hardware view
-        // apply to the clean weights. Batch averaging, clipping, warmup and
-        // Adam are identical to `train`.
-        let inv = 1.0 / cfg.base.batch_size as f32;
-        for p in model.params_mut() {
-            p.scale_grad(inv);
-        }
-        if cfg.base.grad_clip > 0.0 {
-            let norm: f64 = model
-                .params_mut()
-                .iter()
-                .map(|p| p.grad_sq_sum())
-                .sum::<f64>()
-                .sqrt();
-            if norm > cfg.base.grad_clip as f64 {
-                let scale = (cfg.base.grad_clip as f64 / norm) as f32;
-                for p in model.params_mut() {
-                    p.scale_grad(scale);
-                }
-            }
-        }
-        let lr = if t <= cfg.base.warmup {
-            cfg.base.lr * t as f32 / cfg.base.warmup.max(1) as f32
-        } else {
-            cfg.base.lr
-        };
-        for p in model.params_mut() {
-            p.adam_step(lr, 0.9, 0.999, 1e-8, t);
-        }
+        // apply to the clean weights.
+        optimizer_step(model, &cfg.base, t);
         losses.push(step_loss);
     }
     TrainReport {
@@ -398,6 +371,45 @@ mod tests {
         }
         let eval = corpus.episodes(80);
         assert!(eval_accuracy(&model, &eval) > 0.4);
+    }
+
+    /// A batch that panics mid-step (here: an out-of-vocab token from a
+    /// corpus wider than the model's vocabulary) must leave every linear
+    /// with its clean weights and no quantizer attached: the
+    /// [`WeightRestore`] guard restores the weights during unwinding, and
+    /// [`train_ste`] detaches the attachments before resuming the panic.
+    #[test]
+    fn poisoned_batch_cannot_leave_perturbed_weights_behind() {
+        let mut model = TransformerLm::new(ModelConfig::tiny_for_tests(), &mut Rng::seed_from(8));
+        // Model vocab is 16; a vocab-32 corpus emits tokens the embedding
+        // rejects, poisoning the very first batch.
+        let mut corpus = Corpus::new(CorpusConfig::new(32, 16, 3));
+        let before: Vec<_> = model
+            .linear_ids()
+            .iter()
+            .map(|&id| model.linear(id).weight.value.clone())
+            .collect();
+        let cfg = SteConfig {
+            base: TrainConfig {
+                steps: 1,
+                ..TrainConfig::default()
+            },
+            tile: tiny_tile(),
+            ..SteConfig::default()
+        };
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            train_ste(&mut model, &mut corpus, &cfg, 1)
+        }));
+        assert!(result.is_err(), "out-of-vocab token must panic the batch");
+        for (&id, w) in model.linear_ids().iter().zip(&before) {
+            let lin = model.linear(id);
+            assert_eq!(
+                lin.weight.value.as_slice(),
+                w.as_slice(),
+                "{id:?} left perturbed after a poisoned batch"
+            );
+            assert!(lin.ste.is_none(), "{id:?} still attached after the panic");
+        }
     }
 
     #[test]

@@ -75,36 +75,7 @@ pub fn train(model: &mut TransformerLm, corpus: &mut Corpus, cfg: &TrainConfig) 
             step_loss += model.loss_and_backward(&ep.tokens);
         }
         step_loss /= cfg.batch_size as f64;
-
-        // Average gradients over the batch.
-        let inv = 1.0 / cfg.batch_size as f32;
-        for p in model.params_mut() {
-            p.scale_grad(inv);
-        }
-        // Global-norm clipping.
-        if cfg.grad_clip > 0.0 {
-            let norm: f64 = model
-                .params_mut()
-                .iter()
-                .map(|p| p.grad_sq_sum())
-                .sum::<f64>()
-                .sqrt();
-            if norm > cfg.grad_clip as f64 {
-                let scale = (cfg.grad_clip as f64 / norm) as f32;
-                for p in model.params_mut() {
-                    p.scale_grad(scale);
-                }
-            }
-        }
-        // Linear warmup then constant LR.
-        let lr = if t <= cfg.warmup {
-            cfg.lr * t as f32 / cfg.warmup.max(1) as f32
-        } else {
-            cfg.lr
-        };
-        for p in model.params_mut() {
-            p.adam_step(lr, 0.9, 0.999, 1e-8, t);
-        }
+        optimizer_step(model, cfg, t);
         losses.push(step_loss);
     }
     TrainReport {
@@ -114,12 +85,48 @@ pub fn train(model: &mut TransformerLm, corpus: &mut Corpus, cfg: &TrainConfig) 
     }
 }
 
+/// Applies optimizer step `t` to the gradients a batch of
+/// `cfg.batch_size` episodes accumulated: batch average, global-norm clip,
+/// linear warmup, then Adam. Shared by [`train`] and
+/// [`crate::ste::train_ste`], so both trainers update identically.
+pub(crate) fn optimizer_step(model: &mut TransformerLm, cfg: &TrainConfig, t: u64) {
+    // Average gradients over the batch.
+    let inv = 1.0 / cfg.batch_size as f32;
+    for p in model.params_mut() {
+        p.scale_grad(inv);
+    }
+    // Global-norm clipping.
+    if cfg.grad_clip > 0.0 {
+        let norm: f64 = model
+            .params_mut()
+            .iter()
+            .map(|p| p.grad_sq_sum())
+            .sum::<f64>()
+            .sqrt();
+        if norm > cfg.grad_clip as f64 {
+            let scale = (cfg.grad_clip as f64 / norm) as f32;
+            for p in model.params_mut() {
+                p.scale_grad(scale);
+            }
+        }
+    }
+    // Linear warmup then constant LR.
+    let lr = if t <= cfg.warmup {
+        cfg.lr * t as f32 / cfg.warmup.max(1) as f32
+    } else {
+        cfg.lr
+    };
+    for p in model.params_mut() {
+        p.adam_step(lr, 0.9, 0.999, 1e-8, t);
+    }
+}
+
 /// Scope guard that restores a stashed set of linear weights when it goes
-/// out of scope — **including by panic**. Noise-injection trainers
-/// ([`train_hwa`], [`crate::ste::train_ste`]) perturb weights for the
-/// duration of one batch; wrapping the perturb-and-batch section in this
-/// guard guarantees a poisoned episode (e.g. an out-of-vocab token panicking
-/// mid-batch) cannot leave perturbed weights behind in the caller's model.
+/// out of scope — **including by panic**. The noise-injection trainer
+/// ([`crate::ste::train_ste`]) perturbs weights for the duration of one
+/// batch; wrapping the perturb-and-batch section in this guard guarantees a
+/// poisoned episode (e.g. an out-of-vocab token panicking mid-batch) cannot
+/// leave perturbed weights behind in the caller's model.
 pub struct WeightRestore<'a> {
     model: &'a mut TransformerLm,
     ids: &'a [LinearId],
@@ -148,109 +155,6 @@ impl Drop for WeightRestore<'_> {
         for (&id, w) in self.ids.iter().zip(self.clean.drain(..)) {
             self.model.linear_mut(id).weight.value = w;
         }
-    }
-}
-
-/// Configuration of hardware-aware (noise-injection) fine-tuning — the
-/// established HWA baseline the paper contrasts NORA against ("most
-/// previous works require hardware-aware training, which is non-trivial,
-/// if not prohibitive for LLMs").
-///
-/// Follows Joshi et al. (Nat. Comm. 2020): at every step, the
-/// analog-mappable weights are perturbed with Gaussian noise before the
-/// forward/backward pass; the gradient is applied to the clean weights. The
-/// noise std is `weight_noise × max|w_j|` **per column**, mirroring how the
-/// analog tile normalises each column by `γ_j` before programming — i.e.
-/// the injected noise matches the conductance-relative device noise. The
-/// model learns flat minima that tolerate weight-side non-idealities — but
-/// nothing in the procedure addresses the IO side, which is the paper's
-/// point.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HwaConfig {
-    /// Underlying optimizer/loop settings.
-    pub base: TrainConfig,
-    /// Injected weight-noise std relative to each linear's `max|W|`.
-    pub weight_noise: f32,
-}
-
-/// Hardware-aware fine-tuning: like [`train`], but with per-step Gaussian
-/// perturbation of the six analog-mappable linears of every block.
-///
-/// # Panics
-///
-/// Panics if `weight_noise` is negative/non-finite, or on [`train`]'s
-/// conditions.
-pub fn train_hwa(
-    model: &mut TransformerLm,
-    corpus: &mut Corpus,
-    cfg: &HwaConfig,
-    seed: u64,
-) -> TrainReport {
-    assert!(
-        cfg.weight_noise.is_finite() && cfg.weight_noise >= 0.0,
-        "weight_noise must be finite and >= 0"
-    );
-    assert!(cfg.base.steps > 0, "steps must be positive");
-    assert!(cfg.base.batch_size > 0, "batch_size must be positive");
-    let mut noise_rng = nora_tensor::rng::Rng::seed_from(seed ^ 0x45a);
-    let ids = model.linear_ids();
-    let mut losses = Vec::with_capacity(cfg.base.steps as usize);
-    for t in 1..=cfg.base.steps {
-        model.zero_grad();
-        let mut step_loss = 0.0f64;
-        {
-            // Perturb inside a restore guard: the clean weights come back
-            // when the scope ends, even if a batch panics mid-step.
-            let mut guard = WeightRestore::stash(model, &ids);
-            for &id in &ids {
-                let lin = guard.model().linear_mut(id);
-                // Per-column noise scale (the tile's γ_j normalisation).
-                let col_max = lin.weight.value.col_abs_max();
-                let cols = lin.weight.value.cols();
-                for (i, v) in lin.weight.value.as_mut_slice().iter_mut().enumerate() {
-                    let sigma = cfg.weight_noise * col_max[i % cols].max(1e-12);
-                    *v += noise_rng.normal(0.0, sigma);
-                }
-            }
-            for _ in 0..cfg.base.batch_size {
-                let ep = corpus.episode();
-                step_loss += guard.model().loss_and_backward(&ep.tokens);
-            }
-        }
-        step_loss /= cfg.base.batch_size as f64;
-
-        let inv = 1.0 / cfg.base.batch_size as f32;
-        for p in model.params_mut() {
-            p.scale_grad(inv);
-        }
-        if cfg.base.grad_clip > 0.0 {
-            let norm: f64 = model
-                .params_mut()
-                .iter()
-                .map(|p| p.grad_sq_sum())
-                .sum::<f64>()
-                .sqrt();
-            if norm > cfg.base.grad_clip as f64 {
-                let scale = (cfg.base.grad_clip as f64 / norm) as f32;
-                for p in model.params_mut() {
-                    p.scale_grad(scale);
-                }
-            }
-        }
-        let lr = if t <= cfg.base.warmup {
-            cfg.base.lr * t as f32 / cfg.base.warmup.max(1) as f32
-        } else {
-            cfg.base.lr
-        };
-        for p in model.params_mut() {
-            p.adam_step(lr, 0.9, 0.999, 1e-8, t);
-        }
-        losses.push(step_loss);
-    }
-    TrainReport {
-        first_loss: losses[0],
-        final_loss: *losses.last().unwrap(),
-        losses,
     }
 }
 
@@ -311,110 +215,6 @@ mod tests {
         let eval = corpus.episodes(100);
         let acc = eval_accuracy(&model, &eval);
         assert!(acc > 0.5, "induction accuracy {acc}");
-    }
-
-    #[test]
-    fn hwa_training_still_learns_and_hardens_against_weight_noise() {
-        let corpus_cfg = CorpusConfig::new(16, 16, 13);
-        let model_cfg = ModelConfig {
-            vocab: 16,
-            max_seq: 16,
-            d_model: 32,
-            heads: 2,
-            d_ff: 64,
-            layers: 2,
-        };
-        let base = TrainConfig {
-            steps: 600,
-            batch_size: 8,
-            lr: 3e-3,
-            grad_clip: 1.0,
-            warmup: 20,
-        };
-        // Train a standard and an HWA model from the same init/corpus.
-        let mut std_model = TransformerLm::new(model_cfg, &mut Rng::seed_from(14));
-        let mut std_corpus = Corpus::new(corpus_cfg);
-        train(&mut std_model, &mut std_corpus, &base);
-
-        let mut hwa_model = TransformerLm::new(model_cfg, &mut Rng::seed_from(14));
-        let mut hwa_corpus = Corpus::new(corpus_cfg);
-        let report = train_hwa(
-            &mut hwa_model,
-            &mut hwa_corpus,
-            &HwaConfig {
-                base,
-                weight_noise: 0.05,
-            },
-            7,
-        );
-        assert!(report.final_loss < report.first_loss);
-
-        // HWA trades clean accuracy for a flatter degradation curve: at
-        // heavy weight perturbation (well beyond the training noise) it
-        // must beat the standard model, averaged over perturbation draws.
-        let eval = std_corpus.episodes(100);
-        let perturbed_acc = |model: &TransformerLm, rng: &mut Rng, pert: f32| -> f64 {
-            let mut acc = 0.0;
-            let draws = 6;
-            for _ in 0..draws {
-                let mut noisy = model.clone();
-                for id in noisy.linear_ids() {
-                    let lin = noisy.linear_mut(id);
-                    let sigma = pert * lin.weight.value.abs_max();
-                    for v in lin.weight.value.as_mut_slice() {
-                        *v += rng.normal(0.0, sigma);
-                    }
-                }
-                acc += eval_accuracy(&noisy, &eval);
-            }
-            acc / draws as f64
-        };
-        let std_acc = perturbed_acc(&std_model, &mut Rng::seed_from(15), 0.25);
-        let hwa_acc = perturbed_acc(&hwa_model, &mut Rng::seed_from(15), 0.25);
-        assert!(
-            hwa_acc > std_acc,
-            "hwa {hwa_acc} should beat std {std_acc} at heavy weight noise"
-        );
-    }
-
-    /// A batch that panics mid-step (here: an out-of-vocab token from a
-    /// corpus wider than the model's vocabulary) must not leave the model
-    /// with perturbed weights — the [`WeightRestore`] guard restores them
-    /// during unwinding.
-    #[test]
-    fn poisoned_batch_cannot_leave_perturbed_weights_behind() {
-        let mut model =
-            TransformerLm::new(ModelConfig::tiny_for_tests(), &mut Rng::seed_from(8));
-        // Model vocab is 16; a vocab-32 corpus emits tokens the embedding
-        // rejects, poisoning the very first batch.
-        let mut corpus = Corpus::new(CorpusConfig::new(32, 16, 3));
-        let before: Vec<_> = model
-            .linear_ids()
-            .iter()
-            .map(|&id| model.linear(id).weight.value.clone())
-            .collect();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            train_hwa(
-                &mut model,
-                &mut corpus,
-                &HwaConfig {
-                    base: TrainConfig {
-                        steps: 1,
-                        ..TrainConfig::default()
-                    },
-                    weight_noise: 0.5,
-                },
-                1,
-            )
-        }));
-        assert!(result.is_err(), "out-of-vocab token must panic the batch");
-        for (&id, w) in model.linear_ids().iter().zip(&before) {
-            assert_eq!(
-                model.linear(id).weight.value.as_slice(),
-                w.as_slice(),
-                "{id:?} left perturbed after a poisoned batch"
-            );
-        }
     }
 
     #[test]

@@ -29,13 +29,12 @@ pub struct SlotStep<'a> {
     /// by the backend; feeds per-request latency accounting.
     pub decoded: u64,
     /// Request identity component of the counter-keyed noise streams
-    /// (the request's sampling seed). Ignored by the digital backend and
-    /// by compat-keyed analog serving.
+    /// (the request's sampling seed). Ignored by the digital backend.
     pub noise_seed: u64,
     /// The request's cumulative decode-step counter before this round
     /// (prefill and rebase refills included): refill token `i` decodes at
     /// position `pos0 + i`, `token` at `pos0 + refill_len`. Ignored by the
-    /// digital backend and by compat-keyed analog serving.
+    /// digital backend.
     pub pos0: u64,
 }
 
@@ -53,20 +52,7 @@ impl SlotStep<'_> {
         self.decoded = decoded + 1;
     }
 
-    fn run_analog(&mut self, analog: &mut AnalogTransformerLm) {
-        let mut decoded = 0u64;
-        if let Some(context) = self.refill {
-            self.cache.reset();
-            for &t in context {
-                analog.decode_step(t, self.cache);
-                decoded += 1;
-            }
-        }
-        self.logits = analog.decode_step(self.token, self.cache);
-        self.decoded = decoded + 1;
-    }
-
-    /// Counter-keyed variant of `run_analog` against a *shared* deployment:
+    /// Analog variant of `run_digital` against a *shared* deployment:
     /// every decode step derives its noise streams from
     /// `(deployment, tile, noise_seed, position)`, so concurrent slots
     /// never contend on RNG state. Deferred tile effects are returned for
@@ -163,74 +149,31 @@ impl Backend for DigitalBackend<'_> {
     }
 }
 
-/// How the analog backend derives each decode step's noise streams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AnalogKeying {
-    /// Counter-keyed streams (the default): every draw sequence is a pure
-    /// function of `(deployment seed, tile grid coordinates, request seed,
-    /// decode position)`, so a request's noise is independent of admission
-    /// order, batch composition and thread count — and the round fans out
-    /// across [`nora_parallel`] workers like the digital backend.
-    #[default]
-    Keyed,
-    /// Legacy sequential streams: tile RNG state advances as a side effect
-    /// of every forward and the round runs serially in slot order. This
-    /// reproduces pre-keying serving bits exactly; single-request eval
-    /// paths (`generate_analog*`) always use these streams.
-    Compat,
-}
-
-impl AnalogKeying {
-    /// Resolves the keying mode from the `NORA_ANALOG_KEYING` environment
-    /// variable: `compat` (case-insensitive) selects [`AnalogKeying::Compat`],
-    /// anything else — including unset — the keyed default.
-    pub fn from_env() -> Self {
-        match std::env::var("NORA_ANALOG_KEYING") {
-            Ok(v) if v.trim().eq_ignore_ascii_case("compat") => AnalogKeying::Compat,
-            _ => AnalogKeying::Keyed,
-        }
-    }
-}
-
 /// Analog backend over a tile deployment.
 ///
-/// In the default **keyed** mode ([`AnalogKeying::Keyed`]) slot steps are
-/// independent pure functions of the shared `&AnalogTransformerLm` — each
-/// noise draw sequence is derived from its counter key — so the round fans
-/// out across [`nora_parallel`] workers with one scratch arena per slot,
-/// and the deferred tile effects (statistics, ABFT flags) are absorbed
-/// serially in (slot, traversal) order afterwards, keeping the nora-obs
-/// transparency contract. In **compat** mode the legacy serial loop runs
-/// instead: tile RNG streams advance in admission order, reproducing
-/// pre-keying serving bits exactly. Each step is a single-token decode on
-/// the batch-of-1 fast path either way.
+/// Slot steps are independent pure functions of the shared
+/// `&AnalogTransformerLm`: every noise draw sequence is a pure function of
+/// `(deployment seed, tile grid coordinates, request seed, decode
+/// position)`, so a request's noise is independent of admission order,
+/// batch composition and thread count. The round therefore fans out across
+/// [`nora_parallel`] workers with one scratch arena per slot, and the
+/// deferred tile effects (statistics, ABFT flags) are absorbed serially in
+/// (slot, traversal) order afterwards, keeping the nora-obs transparency
+/// contract.
 pub struct AnalogBackend<'m> {
     analog: &'m mut AnalogTransformerLm,
-    keying: AnalogKeying,
     /// Per-slot scratch arenas for keyed rounds, grown to the widest round
     /// seen and reused across rounds.
     arenas: Vec<DecodeCtx>,
 }
 
 impl<'m> AnalogBackend<'m> {
-    /// A backend serving the analog deployment `analog`, with the keying
-    /// mode resolved from the environment ([`AnalogKeying::from_env`]).
+    /// A backend serving the analog deployment `analog`.
     pub fn new(analog: &'m mut AnalogTransformerLm) -> Self {
-        Self::with_keying(analog, AnalogKeying::from_env())
-    }
-
-    /// A backend serving `analog` with an explicit keying mode.
-    pub fn with_keying(analog: &'m mut AnalogTransformerLm, keying: AnalogKeying) -> Self {
         Self {
             analog,
-            keying,
             arenas: Vec::new(),
         }
-    }
-
-    /// The active keying mode.
-    pub fn keying(&self) -> AnalogKeying {
-        self.keying
     }
 }
 
@@ -240,32 +183,21 @@ impl Backend for AnalogBackend<'_> {
     }
 
     fn run_round(&mut self, steps: &mut [SlotStep<'_>]) {
-        match self.keying {
-            AnalogKeying::Compat => {
-                for step in steps {
-                    step.run_analog(self.analog);
-                }
-            }
-            AnalogKeying::Keyed => {
-                if self.arenas.len() < steps.len() {
-                    self.arenas.resize_with(steps.len(), DecodeCtx::default);
-                }
-                let analog = &*self.analog;
-                // Fan the slots out; zipping each with its own arena keeps
-                // the parallel closure free of shared mutable state.
-                let mut work: Vec<(&mut SlotStep<'_>, &mut DecodeCtx)> = steps
-                    .iter_mut()
-                    .zip(self.arenas.iter_mut())
-                    .collect();
-                let effects = nora_parallel::map_slice_mut(&mut work, |_, (step, ctx)| {
-                    step.run_analog_keyed(analog, ctx)
-                });
-                // Deferred tile effects replay serially in (slot, traversal)
-                // order — deterministic at any thread count.
-                for slot_effects in &effects {
-                    self.analog.absorb_effects(slot_effects);
-                }
-            }
+        if self.arenas.len() < steps.len() {
+            self.arenas.resize_with(steps.len(), DecodeCtx::default);
+        }
+        let analog = &*self.analog;
+        // Fan the slots out; zipping each with its own arena keeps the
+        // parallel closure free of shared mutable state.
+        let mut work: Vec<(&mut SlotStep<'_>, &mut DecodeCtx)> =
+            steps.iter_mut().zip(self.arenas.iter_mut()).collect();
+        let effects = nora_parallel::map_slice_mut(&mut work, |_, (step, ctx)| {
+            step.run_analog_keyed(analog, ctx)
+        });
+        // Deferred tile effects replay serially in (slot, traversal) order
+        // — deterministic at any thread count.
+        for slot_effects in &effects {
+            self.analog.absorb_effects(slot_effects);
         }
     }
 

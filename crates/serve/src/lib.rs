@@ -16,14 +16,12 @@
 //! degenerates to exact FIFO. It runs lockstep decode rounds over the
 //! active slots (up to a configurable batch width), retires finished
 //! requests mid-flight and back-fills their slots from the queue. Both
-//! digital and (keyed-mode) analog decode rounds fan the per-sequence
-//! steps out through [`nora_parallel`] under the workspace's bit-identity
-//! contract: outputs are the same at any `NORA_THREADS` because every
-//! sequence's step is independent — own cache, own sampler RNG, and (for
-//! analog) counter-keyed noise streams derived from the request's own
-//! identity — and results land in slot order regardless of execution
-//! order. See [`AnalogKeying`] for the compat mode that reproduces the
-//! legacy sequential noise streams.
+//! digital and analog decode rounds fan the per-sequence steps out through
+//! [`nora_parallel`] under the workspace's bit-identity contract: outputs
+//! are the same at any `NORA_THREADS` because every sequence's step is
+//! independent — own cache, own sampler RNG, and (for analog)
+//! counter-keyed noise streams derived from the request's own identity —
+//! and results land in slot order regardless of execution order.
 //!
 //! Sliding-window semantics match [`nora_nn::generate::generate_digital`]'s
 //! truncation exactly: a batch of one greedy request reproduces
@@ -56,7 +54,7 @@ mod backend;
 mod engine;
 mod queue;
 
-pub use backend::{AnalogBackend, AnalogKeying, Backend, DigitalBackend, SlotStep, TileRef};
+pub use backend::{AnalogBackend, Backend, DigitalBackend, SlotStep, TileRef};
 pub use engine::{
     EngineConfig, EngineReport, GenRequest, GenResult, GenerationEngine, MaintenanceConfig,
     MaintenanceState, RequestLatency, RequestOutcome,

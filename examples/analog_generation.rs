@@ -3,16 +3,25 @@
 //!
 //! Trains a small LM, plants an induction episode as the prompt, and lets
 //! the digital model, a naive analog deployment, and a NORA deployment each
-//! complete it. The induction answer (the final token) shows directly
-//! whether the analog noise broke the model's circuits.
+//! complete it through the serving engine. The induction answer (the final
+//! token) shows directly whether the analog noise broke the model's
+//! circuits.
 //!
 //! Run with: `cargo run --release --example analog_generation`
 
 use nora::cim::TileConfig;
 use nora::core::{calibrate, RescalePlan, SmoothingConfig};
-use nora::nn::generate::{generate_analog, generate_digital, Sampling};
 use nora::nn::zoo::{tiny_spec, ModelFamily};
-use nora::tensor::rng::Rng;
+use nora::serve::{
+    AnalogBackend, Backend, DigitalBackend, EngineConfig, GenRequest, GenerationEngine,
+};
+
+/// Greedily completes `prompt` with four new tokens on `backend`.
+fn complete(backend: impl Backend, prompt: &[usize]) -> Vec<usize> {
+    let mut engine = GenerationEngine::new(backend, EngineConfig::with_max_batch(1));
+    engine.submit(GenRequest::new(prompt.to_vec(), 4).with_seed(9));
+    engine.run_to_completion().remove(0).tokens
+}
 
 fn show(label: &str, tokens: &[usize], prompt_len: usize) {
     let rendered: Vec<String> = tokens
@@ -47,17 +56,16 @@ fn main() {
     let prompt = &episode.tokens[..episode.tokens.len() - 1];
     println!("expected answer after QUERY: t{}\n", episode.key);
 
-    let mut rng = Rng::seed_from(9);
-    let digital = generate_digital(&zoo.model, prompt, 4, Sampling::Greedy, &mut rng);
+    let digital = complete(DigitalBackend::new(&zoo.model), prompt);
     show("digital", &digital, prompt.len());
 
     let mut naive =
         RescalePlan::naive().deploy(&zoo.model, TileConfig::paper_default(), 11);
-    let naive_out = generate_analog(&mut naive, prompt, 4, Sampling::Greedy, &mut rng);
+    let naive_out = complete(AnalogBackend::new(&mut naive), prompt);
     show("naive analog", &naive_out, prompt.len());
 
     let mut nora = plan.deploy(&zoo.model, TileConfig::paper_default(), 11);
-    let nora_out = generate_analog(&mut nora, prompt, 4, Sampling::Greedy, &mut rng);
+    let nora_out = complete(AnalogBackend::new(&mut nora), prompt);
     show("NORA analog", &nora_out, prompt.len());
 
     println!(

@@ -1,18 +1,16 @@
 //! Counter-keyed analog serving: per-request noise is a pure function of
 //! the request's own identity `(deployment, tile, request seed, position)`,
 //! so its bits must be invariant to admission order, batch composition,
-//! thread count, and observation — while the compat mode keeps the legacy
-//! sequential streams bit-for-bit.
+//! thread count, and observation.
 
 use nora::cim::TileConfig;
 use nora::core::RescalePlan;
 use nora::nn::deploy::AnalogTransformerLm;
-use nora::nn::generate::{generate_analog_cached, Sampling};
+use nora::nn::generate::Sampling;
 use nora::nn::{ModelConfig, TransformerLm};
 use nora::parallel::with_threads;
 use nora::serve::{
-    AnalogBackend, AnalogKeying, DigitalBackend, EngineConfig, GenRequest, GenerationEngine,
-    RequestOutcome,
+    AnalogBackend, DigitalBackend, EngineConfig, GenRequest, GenerationEngine, RequestOutcome,
 };
 use nora::tensor::rng::Rng;
 
@@ -43,7 +41,7 @@ fn requests() -> Vec<GenRequest> {
 fn serve_keyed(m: &TransformerLm, requests: Vec<GenRequest>, max_batch: usize) -> Vec<(u64, Vec<usize>)> {
     let mut analog = deploy(m);
     let mut engine = GenerationEngine::new(
-        AnalogBackend::with_keying(&mut analog, AnalogKeying::Keyed),
+        AnalogBackend::new(&mut analog),
         EngineConfig::with_max_batch(max_batch),
     );
     for request in requests {
@@ -99,7 +97,7 @@ fn keyed_round_bit_identical_across_thread_counts() {
         with_threads(threads, || {
             let mut analog = deploy(&m);
             let mut engine = GenerationEngine::new(
-                AnalogBackend::with_keying(&mut analog, AnalogKeying::Keyed),
+                AnalogBackend::new(&mut analog),
                 EngineConfig::with_max_batch(4),
             );
             for request in requests() {
@@ -120,56 +118,6 @@ fn keyed_round_bit_identical_across_thread_counts() {
         assert_eq!(serial.0, par.0, "token streams, threads={threads}");
         assert_eq!(serial.1, par.1, "tile stats, threads={threads}");
     }
-}
-
-/// Compat keying pin: a batch-of-one engine in [`AnalogKeying::Compat`]
-/// replays the legacy sequential tile streams, reproducing
-/// `generate_analog_cached` — the pre-keying single-request eval path —
-/// token for token on an identical fresh deployment.
-#[test]
-fn compat_engine_reproduces_generate_analog_cached() {
-    let m = model();
-    for (sampling, seed) in [(Sampling::Greedy, 0u64), (Sampling::Temperature(1.2), 83)] {
-        let mut reference_analog = deploy(&m);
-        let reference = generate_analog_cached(
-            &mut reference_analog,
-            &[5, 3, 11],
-            30, // slides past max_seq 16
-            sampling,
-            &mut Rng::seed_from(seed),
-        );
-        let mut analog = deploy(&m);
-        let mut engine = GenerationEngine::new(
-            AnalogBackend::with_keying(&mut analog, AnalogKeying::Compat),
-            EngineConfig::with_max_batch(1),
-        );
-        engine.submit(
-            GenRequest::new(vec![5, 3, 11], 30)
-                .with_sampling(sampling)
-                .with_seed(seed),
-        );
-        let results = engine.run_to_completion();
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].tokens, reference, "{sampling:?}");
-    }
-}
-
-/// The `NORA_ANALOG_KEYING` env knob resolves `compat` (any casing,
-/// surrounding whitespace ignored) to the compat mode and everything else
-/// — including unset — to the keyed default. Safe to mutate the env here:
-/// no other test in this binary resolves the keying mode from it.
-#[test]
-fn keying_mode_resolves_from_env_spelling() {
-    assert_eq!(AnalogKeying::default(), AnalogKeying::Keyed);
-    std::env::remove_var("NORA_ANALOG_KEYING");
-    assert_eq!(AnalogKeying::from_env(), AnalogKeying::Keyed);
-    for spelling in ["compat", "Compat", " COMPAT "] {
-        std::env::set_var("NORA_ANALOG_KEYING", spelling);
-        assert_eq!(AnalogKeying::from_env(), AnalogKeying::Compat, "{spelling:?}");
-    }
-    std::env::set_var("NORA_ANALOG_KEYING", "keyed");
-    assert_eq!(AnalogKeying::from_env(), AnalogKeying::Keyed);
-    std::env::remove_var("NORA_ANALOG_KEYING");
 }
 
 /// Backpressure and cancellation: a depth-bounded queue sheds newcomers
@@ -256,7 +204,7 @@ fn recorder_on_keyed_round_changes_no_bit() {
         with_threads(4, || {
             let mut analog = deploy(&m);
             let mut engine = GenerationEngine::new(
-                AnalogBackend::with_keying(&mut analog, AnalogKeying::Keyed),
+                AnalogBackend::new(&mut analog),
                 EngineConfig::with_max_batch(4),
             );
             if observe {
