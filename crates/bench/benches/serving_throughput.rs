@@ -3,10 +3,9 @@
 //!
 //! Each measurement serves the same corpus-derived workload end to end, so
 //! `ns/iter` is the wall-clock cost of draining the whole queue and the
-//! `Melem/s` line is aggregate generated tokens per second. Batch width 1
-//! is the no-batching baseline; widths 4 and 8 show the continuous-batching
-//! speedup. Set `NORA_BENCH_JSON` to append records (with the active
-//! `NORA_THREADS`) for committed baselines.
+//! `Melem/s` line is aggregate generated tokens per second. Every case
+//! batches 8 requests. Set `NORA_BENCH_JSON` to append records (with the
+//! active `NORA_THREADS`) for committed baselines.
 
 use nora_bench::harness::{bench_throughput, export_metrics, metrics_out, set_sparsity};
 use nora_cim::TileConfig;
@@ -40,37 +39,11 @@ fn main() {
         .map(|r| r.max_new_tokens as u64)
         .sum();
 
-    for batch in [1usize, 4, 8] {
-        let name = format!("serve_digital_12req_batch{batch}");
-        let mut last = None;
-        bench_throughput(&name, tokens, || {
-            let (results, summary) = serve_workload(DigitalBackend::new(&model), &workload, batch);
-            last = Some((results, summary));
-            std::hint::black_box(&last);
-        });
-        if let Some((results, summary)) = &last {
-            let mean_service_us = results
-                .iter()
-                .map(|r| r.latency.service.as_secs_f64() * 1e6)
-                .sum::<f64>()
-                / results.len() as f64;
-            let mean_wait_us = results
-                .iter()
-                .map(|r| r.latency.queue_wait.as_secs_f64() * 1e6)
-                .sum::<f64>()
-                / results.len() as f64;
-            println!(
-                "bench: {name:<44} {:>14.1} tok/s engine  ({mean_service_us:.0} us service, \
-                 {mean_wait_us:.0} us queue wait, {} decode steps)",
-                summary.tokens_per_sec, summary.decode_steps
-            );
-        }
-    }
-
     // 2:4-pruned digital serving: the same workload through the packed
     // sparse decode kernels (bit-identical tokens to serving the masked
-    // dense weights — the gap to `serve_digital_12req_batch8` is pure
-    // kernel win plus the masking's accuracy-neutral weight change).
+    // dense weights). Dense digital serving past the window is measured,
+    // with its spread, by perfbench's serve-long workload; the dense-vs-2:4
+    // pair at a GEMM-bound width is the d320 pair below.
     let mut sparse_model = model.clone();
     SparsityPlan::uniform(&sparse_model, nora_tensor::NmPattern::N2M4)
         .apply(&mut sparse_model, None);

@@ -126,8 +126,11 @@ impl ModelConfig {
 /// Per-block key/value cache for incremental (token-by-token) decoding.
 ///
 /// Avoids re-running attention over the whole context at every generated
-/// token: each [`TransformerLm::decode_step`] appends one projected K/V row
-/// per block and attends only from the newest query.
+/// token: each decoded token appends one projected K/V row per block and
+/// attends only from its own query. [`TransformerLm::decode_rows`] (and
+/// [`TransformerLm::decode_step`], its one-row case) appends the rows of
+/// several tokens in one pass; the keyed analog step
+/// [`crate::deploy::AnalogTransformerLm::decode_step_keyed`] appends one.
 ///
 /// Storage is a **fixed-capacity ring buffer**: the `capacity × d_model`
 /// K/V matrices are allocated once at construction, appends are `O(1)`
@@ -231,15 +234,23 @@ impl KvCache {
     /// Ring view of one block's `(keys, values)` in logical (oldest-first)
     /// order, including a pending un-advanced append to that block.
     pub(crate) fn view(&self, b: usize) -> (KvView<'_>, KvView<'_>) {
-        let (len, start) = if self.pending {
-            if self.len == self.capacity {
-                // The pending append overwrote the oldest row at `start`.
-                (self.capacity, (self.start + 1) % self.capacity)
-            } else {
-                (self.len + 1, self.start)
-            }
+        self.view_rows(b, usize::from(self.pending))
+    }
+
+    /// Ring view of one block's `(keys, values)` in logical (oldest-first)
+    /// order: the cached positions followed by the first `new` rows written
+    /// past them by [`KvCache::write_rows`]. Past capacity the window
+    /// slides, so the oldest positions drop out of the view.
+    pub(crate) fn view_rows(&self, b: usize, new: usize) -> (KvView<'_>, KvView<'_>) {
+        let total = self.len + new;
+        let (start, len) = if total <= self.capacity {
+            (self.start, total)
         } else {
-            (self.len, self.start)
+            // The newest rows overwrote the oldest ones in place.
+            (
+                (self.start + total - self.capacity) % self.capacity,
+                self.capacity,
+            )
         };
         let (k, v) = &self.blocks[b];
         (KvView::new(k, start, len), KvView::new(v, start, len))
@@ -249,20 +260,42 @@ impl KvCache {
     /// appended exactly once since the last advance). On a full cache this
     /// rotates the ring, evicting the oldest position.
     pub(crate) fn advance(&mut self) {
+        self.advance_by(1);
+    }
+
+    /// Marks `n` more positions as cached (every block must hold the rows
+    /// [`KvCache::write_rows`] wrote past the cached ones). Past capacity the
+    /// ring rotates, evicting the oldest positions.
+    pub(crate) fn advance_by(&mut self, n: usize) {
         self.pending = false;
-        if self.len < self.capacity {
-            self.len += 1;
+        let total = self.len + n;
+        if total <= self.capacity {
+            self.len = total;
         } else {
-            self.start = (self.start + 1) % self.capacity;
-            self.evicted += 1;
+            let evict = total - self.capacity;
+            self.start = (self.start + evict) % self.capacity;
+            self.len = self.capacity;
+            self.evicted += evict as u64;
         }
     }
 
     pub(crate) fn append(&mut self, block: usize, k: &[f32], v: &[f32]) {
         self.pending = true;
+        self.write_row(block, 0, k, v);
+    }
+
+    /// Writes row `i` of `k` and `v` into one block at logical position
+    /// `len + i`, for every row, without advancing the cache.
+    pub(crate) fn write_rows(&mut self, block: usize, k: &Matrix, v: &Matrix) {
+        for i in 0..k.rows() {
+            self.write_row(block, i, k.row(i), v.row(i));
+        }
+    }
+
+    fn write_row(&mut self, block: usize, i: usize, k: &[f32], v: &[f32]) {
         // On a full ring `(start + len) % capacity == start`: the newest row
         // overwrites the oldest in place.
-        let phys = (self.start + self.len) % self.capacity;
+        let phys = (self.start + self.len + i) % self.capacity;
         let (kc, vc) = &mut self.blocks[block];
         kc.row_mut(phys).copy_from_slice(k);
         vc.row_mut(phys).copy_from_slice(v);
@@ -536,11 +569,14 @@ impl TransformerLm {
 
     /// One incremental decode step: processes `token` at the cache's next
     /// position, appends its K/V rows, and returns the logits for the next
-    /// token (length `vocab`).
+    /// token (length `vocab`). This is [`TransformerLm::decode_rows`] over
+    /// one row.
     ///
-    /// A full prompt processed token-by-token through `decode_step` yields
-    /// exactly the same final-position logits as [`TransformerLm::forward`]
-    /// on the whole sequence.
+    /// A full prompt processed token by token through `decode_step` gives
+    /// the logits of [`TransformerLm::forward`] on the whole sequence to
+    /// within float rounding, not bit for bit: `forward` runs the batched
+    /// attention core and `decode_step` the single-query one, and the two
+    /// order their sums differently.
     ///
     /// On a *full* cache the step does not panic: the ring evicts the oldest
     /// position and the new token executes at the final positional slot.
@@ -565,43 +601,108 @@ impl TransformerLm {
     /// let logits_a = model.decode_step(3, &mut cache);
     /// let logits_b = model.decode_step(1, &mut cache);
     /// assert_eq!(cache.len(), 2);
-    /// // Identical to the full forward at the same positions:
+    /// // The full forward at the same positions, to within rounding:
     /// let full = model.forward(&[3, 1]);
     /// assert!((logits_b[0] - full[(1, 0)]).abs() < 1e-4);
     /// # let _ = logits_a;
     /// ```
     pub fn decode_step(&self, token: usize, cache: &mut KvCache) -> Vec<f32> {
-        assert_eq!(cache.blocks.len(), self.blocks.len(), "cache/model mismatch");
-        let pos = cache.next_position();
+        self.decode_rows(&[token], cache)
+    }
+
+    /// Decodes `tokens` at consecutive cache positions in one pass, appends
+    /// their K/V rows, and returns the logits after the last token (length
+    /// `vocab`).
+    ///
+    /// The result, and every K/V row the cache holds afterwards, has the
+    /// bits of `tokens.len()` [`TransformerLm::decode_step`] calls. Each
+    /// block computes LayerNorm, K and V for all rows as matrix products and
+    /// writes every K/V row to the cache; row `i` then attends over exactly
+    /// the cached positions plus rows `0..=i`, as the serial step would.
+    /// In the last block only the last row goes on past K/V (the answer
+    /// cone): the other rows' outputs there would only feed logits that
+    /// nobody reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tokens` is empty, if there are more tokens than free
+    /// positions in the cache (a single token on a full cache evicts the
+    /// oldest position, as `decode_step` does), if the cache was built for a
+    /// different architecture, or if a token is out of vocabulary.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use nora_nn::{KvCache, ModelConfig, TransformerLm};
+    /// use nora_tensor::rng::Rng;
+    ///
+    /// let model = TransformerLm::new(ModelConfig::tiny_for_tests(), &mut Rng::seed_from(0));
+    /// let mut serial = KvCache::new(&model);
+    /// let mut last = Vec::new();
+    /// for t in [3, 1, 4] {
+    ///     last = model.decode_step(t, &mut serial);
+    /// }
+    /// let mut pass = KvCache::new(&model);
+    /// assert_eq!(model.decode_rows(&[3, 1, 4], &mut pass), last);
+    /// assert_eq!(pass.len(), 3);
+    /// ```
+    pub fn decode_rows(&self, tokens: &[usize], cache: &mut KvCache) -> Vec<f32> {
+        assert_eq!(
+            cache.blocks.len(),
+            self.blocks.len(),
+            "cache/model mismatch"
+        );
+        let n = tokens.len();
+        assert!(n > 0, "decode_rows needs at least one token");
+        assert!(
+            n == 1 || cache.len() + n <= cache.capacity(),
+            "{n} rows do not fit the {} free positions of the cache",
+            cache.capacity() - cache.len()
+        );
+        let pos0 = cache.next_position();
         let d = self.config.d_model;
-        // Embed the single token at its position.
-        let mut x = Matrix::zeros(1, d);
-        {
+        // Embed each token at its position.
+        let mut x = Matrix::zeros(n, d);
+        for (i, &token) in tokens.iter().enumerate() {
             assert!(token < self.config.vocab, "token out of vocab");
             let te = self.embedding.tokens.value.row(token);
-            let pe = self.embedding.positions.value.row(pos);
-            for (o, (&a, &b)) in x.row_mut(0).iter_mut().zip(te.iter().zip(pe)) {
+            let pe = self.embedding.positions.value.row(pos0 + i);
+            for (o, (&a, &b)) in x.row_mut(i).iter_mut().zip(te.iter().zip(pe)) {
                 *o = a + b;
             }
         }
+        let last_block = self.blocks.len() - 1;
         for (b, block) in self.blocks.iter().enumerate() {
             let ln1_out = block.ln1.forward_inference(&x);
-            let q = block.attn.wq.forward(&ln1_out);
             let k = block.attn.wk.forward(&ln1_out);
             let v = block.attn.wv.forward(&ln1_out);
-            cache.append(b, k.row(0), v.row(0));
-            let (kc, vc) = cache.view(b);
-            let context = block.attn.attend_one(q.row(0), kc, vc);
-            let attn_out = block
-                .attn
-                .wo
-                .forward(&Matrix::from_vec(1, d, context));
-            let x1 = x.add(&attn_out);
+            cache.write_rows(b, &k, &v);
+            // Rows `first..n` go on past K/V: all of them, except in the
+            // last block, where only the last row reaches the logits.
+            let first = if b == last_block { n - 1 } else { 0 };
+            let (resid, ln1_out) = if first == 0 {
+                (x, ln1_out)
+            } else {
+                (
+                    x.submatrix(first, n, 0, d),
+                    ln1_out.submatrix(first, n, 0, d),
+                )
+            };
+            let q = block.attn.wq.forward(&ln1_out);
+            let mut context = Matrix::zeros(q.rows(), d);
+            for i in 0..q.rows() {
+                let (kc, vc) = cache.view_rows(b, first + i + 1);
+                context
+                    .row_mut(i)
+                    .copy_from_slice(&block.attn.attend_one(q.row(i), kc, vc));
+            }
+            let attn_out = block.attn.wo.forward(&context);
+            let x1 = resid.add(&attn_out);
             let ln2_out = block.ln2.forward_inference(&x1);
             let h = block.fc1.forward(&ln2_out).map(|v| v.max(0.0));
             x = x1.add(&block.fc2.forward(&h));
         }
-        cache.advance();
+        cache.advance_by(n);
         let x = self.final_ln.forward_inference(&x);
         self.head.forward(&x).into_vec()
     }
@@ -746,6 +847,103 @@ mod tests {
         // Newest K row matches: the final token was embedded at position
         // window-1 in both caches (ring saturates next_position there).
         assert_eq!(kv.row(window - 1), rk.row(window - 1));
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every cached K and V row of every block, oldest first, as bits.
+    fn cache_bits(cache: &KvCache) -> Vec<Vec<u32>> {
+        let mut rows = Vec::new();
+        for b in 0..cache.blocks.len() {
+            let (k, v) = cache.view(b);
+            for i in 0..k.len() {
+                rows.push(bits(k.row(i)));
+                rows.push(bits(v.row(i)));
+            }
+        }
+        rows
+    }
+
+    /// `decode_rows` over every prefix length that fits, from `primed`
+    /// (a cache that may already hold rows), against one-row calls.
+    fn assert_pass_matches_serial(model: &TransformerLm, primed: &KvCache, what: &str) {
+        let room = primed.capacity() - primed.len();
+        let tokens: Vec<usize> = (0..room)
+            .map(|i| (i * 7 + 3) % model.config().vocab)
+            .collect();
+        for n in 1..=room {
+            let mut serial = primed.clone();
+            let mut want = Vec::new();
+            for &t in &tokens[..n] {
+                want = model.decode_step(t, &mut serial);
+            }
+            let mut pass = primed.clone();
+            let got = model.decode_rows(&tokens[..n], &mut pass);
+            assert_eq!(bits(&got), bits(&want), "{what}: logits, n={n}");
+            assert_eq!(pass.len(), serial.len(), "{what}: len, n={n}");
+            assert_eq!(pass.evicted(), serial.evicted(), "{what}: evicted, n={n}");
+            assert_eq!(
+                cache_bits(&pass),
+                cache_bits(&serial),
+                "{what}: kv rows, n={n}"
+            );
+        }
+    }
+
+    fn two_layer_model(seed: u64) -> TransformerLm {
+        let cfg = ModelConfig {
+            layers: 2,
+            ..ModelConfig::tiny_for_tests()
+        };
+        TransformerLm::new(cfg, &mut Rng::seed_from(seed))
+    }
+
+    #[test]
+    fn decode_rows_is_bit_identical_to_serial_steps() {
+        let model = two_layer_model(24);
+        for capacity in [model.config().max_seq, 5] {
+            let cache = KvCache::with_capacity(&model, capacity);
+            assert_pass_matches_serial(&model, &cache, &format!("capacity {capacity}"));
+        }
+    }
+
+    #[test]
+    fn decode_rows_is_bit_identical_on_packed_sparse_weights() {
+        let mut model = two_layer_model(25);
+        for id in model.linear_ids() {
+            model
+                .linear_mut(id)
+                .apply_sparsity(nora_tensor::NmPattern::N2M4, None);
+        }
+        assert!(model
+            .linear(LinearId::new(1, LinearKind::Fc2))
+            .sparse
+            .is_some());
+        for capacity in [model.config().max_seq, 5] {
+            let cache = KvCache::with_capacity(&model, capacity);
+            assert_pass_matches_serial(&model, &cache, &format!("2:4, capacity {capacity}"));
+        }
+    }
+
+    #[test]
+    fn decode_rows_continues_a_non_empty_cache() {
+        let model = two_layer_model(26);
+        let mut primed = KvCache::with_capacity(&model, 11);
+        for t in [2, 7, 1] {
+            model.decode_step(t, &mut primed);
+        }
+        assert_pass_matches_serial(&model, &primed, "after 3 rows");
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit")]
+    fn decode_rows_past_the_free_positions_panics() {
+        let model = two_layer_model(27);
+        let mut cache = KvCache::with_capacity(&model, 4);
+        model.decode_step(1, &mut cache);
+        model.decode_rows(&[1, 2, 3, 4], &mut cache);
     }
 
     #[test]

@@ -15,7 +15,10 @@ pub type TileRef = (LinearId, usize);
 /// against exactly that truncated context. This is how both prompt prefill
 /// and sliding-window eviction are expressed — admission refills with the
 /// prompt head, a full cache refills with the last `window − 1` context
-/// tokens, matching [`nora_nn::generate::generate_digital_cached`].
+/// tokens, matching [`nora_nn::generate::generate_digital_cached`]. The
+/// digital backend decodes the refill and `token` in one
+/// [`TransformerLm::decode_rows`] pass; the analog backend decodes them one
+/// keyed step at a time.
 pub struct SlotStep<'a> {
     /// Token to decode last; its logits are the step's output.
     pub token: usize,
@@ -25,8 +28,9 @@ pub struct SlotStep<'a> {
     pub cache: &'a mut KvCache,
     /// Next-token logits, filled in by the backend.
     pub logits: Vec<f32>,
-    /// Decode steps executed for this item (1 + refill length), filled in
-    /// by the backend; feeds per-request latency accounting.
+    /// Rows appended to the cache for this item (1 + refill length), filled
+    /// in by the backend, whether they ran as one pass or one step each;
+    /// feeds per-request accounting and the drift clock.
     pub decoded: u64,
     /// Request identity component of the counter-keyed noise streams
     /// (the request's sampling seed). Ignored by the digital backend.
@@ -40,16 +44,15 @@ pub struct SlotStep<'a> {
 
 impl SlotStep<'_> {
     fn run_digital(&mut self, model: &TransformerLm) {
-        let mut decoded = 0u64;
-        if let Some(context) = self.refill {
-            self.cache.reset();
-            for &t in context {
-                model.decode_step(t, self.cache);
-                decoded += 1;
+        self.logits = match self.refill {
+            Some(context) => {
+                self.cache.reset();
+                let rows: Vec<usize> = context.iter().copied().chain([self.token]).collect();
+                model.decode_rows(&rows, self.cache)
             }
-        }
-        self.logits = model.decode_step(self.token, self.cache);
-        self.decoded = decoded + 1;
+            None => model.decode_step(self.token, self.cache),
+        };
+        self.decoded = 1 + self.refill.map_or(0, <[usize]>::len) as u64;
     }
 
     /// Analog variant of `run_digital` against a *shared* deployment:

@@ -301,8 +301,9 @@ pub struct GenResult {
     pub prompt_len: usize,
     /// Wall-clock latency breakdown.
     pub latency: RequestLatency,
-    /// Model decode steps spent on this request (prefill + decode +
-    /// sliding-window rebase work).
+    /// Rows appended to this request's cache: 1 per round plus the refill
+    /// length (prefill and sliding-window rebase work). A refill counts
+    /// its rows even where it runs as one multi-row pass.
     pub decode_steps: u64,
     /// How the request left the engine.
     pub outcome: RequestOutcome,
@@ -322,7 +323,8 @@ pub struct EngineReport {
     pub requests: u64,
     /// Generated (sampled) tokens across completed and in-flight requests.
     pub generated_tokens: u64,
-    /// Model decode steps executed (prefill + decode + rebase).
+    /// Rows appended to KV caches (decode + prefill + rebase): 1 per slot
+    /// per round plus each refill's length, not full-stack steps.
     pub decode_steps: u64,
     /// Batched decode rounds run.
     pub rounds: u64,

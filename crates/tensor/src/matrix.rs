@@ -212,8 +212,10 @@ impl Matrix {
     ///
     /// Output rows are independent, so for products above a work threshold
     /// they are computed in parallel row chunks (see [`nora_parallel`]).
-    /// Each output element keeps a single `k`-ascending accumulation chain,
-    /// so the result is bit-identical at any thread count.
+    /// Rows go through a register-tiled kernel 4 at a time; leftover rows,
+    /// and a one-row product, take the row kernel. Each output element
+    /// keeps a single `k`-ascending accumulation chain either way, so the
+    /// result is bit-identical at any thread count and any row count.
     ///
     /// # Errors
     ///
@@ -229,25 +231,17 @@ impl Matrix {
         // matmuls stay on the exact serial loop.
         let threads = nora_parallel::threads_for_work(m, (k * n) as u64);
         if threads > 1 && m > 1 {
-            // Small chunks (≈4 per thread) so a slow chunk can't stall the
-            // section; each chunk owns whole output rows, so writes are
-            // disjoint and per-element FP order is unchanged.
-            let rows_per_chunk = m.div_ceil(threads * 4).max(1);
+            // Small chunks (≈4 per thread, whole row tiles) so a slow chunk
+            // can't stall the section; each chunk owns whole output rows, so
+            // writes are disjoint and per-element FP order is unchanged.
+            let rows_per_chunk = m.div_ceil(threads * 4).next_multiple_of(GEMM_MR);
             nora_parallel::for_each_chunk_mut(&mut out.data, rows_per_chunk * n, |ci, chunk| {
-                for (dr, out_row) in chunk.chunks_mut(n).enumerate() {
-                    let i = ci * rows_per_chunk + dr;
-                    row_times_matrix(&self.data[i * k..(i + 1) * k], &rhs.data, n, out_row);
-                }
+                let r0 = ci * rows_per_chunk;
+                let rows = chunk.len() / n;
+                rows_times_matrix(&self.data[r0 * k..(r0 + rows) * k], k, &rhs.data, n, chunk);
             });
         } else {
-            for i in 0..m {
-                row_times_matrix(
-                    &self.data[i * k..(i + 1) * k],
-                    &rhs.data,
-                    n,
-                    &mut out.data[i * n..(i + 1) * n],
-                );
-            }
+            rows_times_matrix(&self.data, k, &rhs.data, n, &mut out.data);
         }
         Ok(out)
     }
@@ -584,6 +578,39 @@ const GEMM_JT: usize = 16;
 /// a single `a_row[k]` load feeds 32 output lanes per `k` step.
 const GEMM_JW: usize = 2 * GEMM_JT;
 
+/// Rows per register tile of the multi-row kernel: each block of `b` that
+/// is loaded feeds this many output rows.
+const GEMM_MR: usize = 4;
+
+/// Multi-row product `out = a · b`, where `a` is row-major `rows × k`, `b`
+/// is row-major `k × n` and `out` is `rows × n`.
+///
+/// Whole groups of [`GEMM_MR`] rows run through [`RowsTimesMatrix`]; the
+/// leftover rows (all of them in a one-row product) run through
+/// [`row_times_matrix`]. Both kernels give each output element the same
+/// chain, so how the rows are grouped does not change any bit.
+fn rows_times_matrix(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    if n == 0 {
+        return;
+    }
+    debug_assert_eq!(a.len(), out.len() / n * k);
+    let mut tiles = out.chunks_exact_mut(GEMM_MR * n);
+    let mut r0 = 0;
+    for out_tile in &mut tiles {
+        simd::run(RowsTimesMatrix {
+            a: &a[r0 * k..(r0 + GEMM_MR) * k],
+            b,
+            n,
+            out: out_tile,
+        });
+        r0 += GEMM_MR;
+    }
+    for out_row in tiles.into_remainder().chunks_exact_mut(n) {
+        row_times_matrix(&a[r0 * k..(r0 + 1) * k], b, n, out_row);
+        r0 += 1;
+    }
+}
+
 /// Shared row kernel: `out_row = a_row · b`, where `b` is row-major
 /// `a_row.len() × n` and `out_row` has length `n`.
 ///
@@ -676,6 +703,73 @@ impl Kernel for RowTimesMatrix<'_> {
     }
 }
 
+/// [`GEMM_MR`] rows of `a` times `b` as a [`Kernel`]: `a` is row-major
+/// `GEMM_MR × k`, `b` is row-major `k × n` and `out` is `GEMM_MR × n`.
+///
+/// Columns go in register tiles of `GEMM_MR` rows × [`GEMM_JT`]
+/// accumulators, with a masked tail at the right edge, so each block of
+/// `b` that is loaded feeds every row of the tile. Each output element is
+/// the row kernel's chain: `acc = 0.0`, then `acc += a[k] * b[k][j]` with
+/// `k` ascending, so a row computed here has the same bits as the same row
+/// through [`RowTimesMatrix`].
+struct RowsTimesMatrix<'a> {
+    a: &'a [f32],
+    b: &'a [f32],
+    n: usize,
+    out: &'a mut [f32],
+}
+
+impl Kernel for RowsTimesMatrix<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Self { a, b, n, out } = self;
+        let k = a.len() / GEMM_MR;
+        debug_assert_eq!(a.len(), GEMM_MR * k);
+        debug_assert_eq!(b.len(), k * n);
+        debug_assert_eq!(out.len(), GEMM_MR * n);
+        let (a0, rest) = a.split_at(k);
+        let (a1, rest) = rest.split_at(k);
+        let (a2, a3) = rest.split_at(k);
+        let a_cols = || a0.iter().zip(a1).zip(a2).zip(a3);
+        let mut j0 = 0;
+        while j0 + GEMM_JT <= n {
+            let mut acc = [[0.0f32; GEMM_JT]; GEMM_MR];
+            for (kk, (((&x0, &x1), &x2), &x3)) in a_cols().enumerate() {
+                let row = kk * n + j0;
+                let blk: &[f32; GEMM_JT] = b[row..row + GEMM_JT]
+                    .try_into()
+                    .expect("block width is GEMM_JT");
+                for (acc_r, x) in acc.iter_mut().zip([x0, x1, x2, x3]) {
+                    for (o, &v) in acc_r.iter_mut().zip(blk) {
+                        *o += x * v;
+                    }
+                }
+            }
+            for (r, acc_r) in acc.iter().enumerate() {
+                out[r * n + j0..r * n + j0 + GEMM_JT].copy_from_slice(acc_r);
+            }
+            j0 += GEMM_JT;
+        }
+        if j0 < n {
+            let rem = n - j0;
+            let mut acc = [[0.0f32; GEMM_JT]; GEMM_MR];
+            for (kk, (((&x0, &x1), &x2), &x3)) in a_cols().enumerate() {
+                let tail = &b[kk * n + j0..kk * n + n];
+                for (acc_r, x) in acc.iter_mut().zip([x0, x1, x2, x3]) {
+                    for (o, &v) in acc_r[..rem].iter_mut().zip(tail) {
+                        *o += x * v;
+                    }
+                }
+            }
+            for (r, acc_r) in acc.iter().enumerate() {
+                out[r * n + j0..(r + 1) * n].copy_from_slice(&acc_r[..rem]);
+            }
+        }
+    }
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = f32;
 
@@ -723,6 +817,24 @@ mod tests {
         xs.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// [`bits`] with every NaN mapped to one pattern. Rust leaves the sign
+    /// and payload of a NaN that arithmetic produces unspecified, and the
+    /// compiler may swap the operands of a vector add, so `NaN + NaN` can
+    /// come out as either operand's NaN in different instances of one
+    /// kernel. Every other value, `-0.0` and the infinities included, is
+    /// compared bit for bit.
+    fn class_bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter()
+            .map(|v| {
+                if v.is_nan() {
+                    f32::NAN.to_bits()
+                } else {
+                    v.to_bits()
+                }
+            })
+            .collect()
+    }
+
     /// `simd::run` takes the AVX2 instance on an AVX2 host, while `k.run()`
     /// is compiled into this baseline test body: the two must agree bitwise.
     #[test]
@@ -752,6 +864,91 @@ mod tests {
         }
         if !simd::avx2_detected() {
             eprintln!("no AVX2 on this CPU: compared the baseline instance only");
+        }
+    }
+
+    /// `len` normal draws with each of ±0.0, ±inf and NaN planted at one
+    /// random position (when `len > 0`).
+    fn with_specials(len: usize, rng: &mut Rng) -> Vec<f32> {
+        let mut v: Vec<f32> = (0..len).map(|_| rng.normal(0.0, 1.0)).collect();
+        if len > 0 {
+            for s in [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+                v[rng.below(len)] = s;
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn multi_row_kernel_instances_are_bit_identical() {
+        let mut rng = Rng::seed_from(43);
+        for n in [1, 15, 16, 17, 31, 32, 33, 48, 64, 129, 256] {
+            for k in [0, 1, 7, 64, 256] {
+                let a = with_specials(GEMM_MR * k, &mut rng);
+                let b = with_specials(k * n, &mut rng);
+                let mut base = vec![f32::NAN; GEMM_MR * n];
+                let mut dispatched = vec![f32::NAN; GEMM_MR * n];
+                RowsTimesMatrix {
+                    a: &a,
+                    b: &b,
+                    n,
+                    out: &mut base,
+                }
+                .run();
+                simd::run(RowsTimesMatrix {
+                    a: &a,
+                    b: &b,
+                    n,
+                    out: &mut dispatched,
+                });
+                assert_eq!(class_bits(&base), class_bits(&dispatched), "n={n} k={k}");
+            }
+        }
+    }
+
+    /// Every row of a product, whether it went through the 4-row tile or
+    /// the row kernel, has the bits of the baseline row kernel on that row.
+    fn assert_rows_match_row_kernel(a: &Matrix, b: &Matrix, c: &Matrix, what: &str) {
+        let n = b.cols();
+        for i in 0..a.rows() {
+            let mut want = vec![f32::NAN; n];
+            RowTimesMatrix {
+                a_row: a.row(i),
+                b: b.as_slice(),
+                n,
+                out_row: &mut want,
+            }
+            .run();
+            assert_eq!(class_bits(c.row(i)), class_bits(&want), "{what} row {i}");
+        }
+    }
+
+    #[test]
+    fn matmul_rows_are_bit_identical_to_the_row_kernel() {
+        let mut rng = Rng::seed_from(44);
+        let ms: Vec<usize> = (1..=9).chain([31, 32, 67]).collect();
+        for &m in &ms {
+            for n in [1, 15, 16, 17, 31, 32, 33, 48, 64, 129, 256] {
+                for k in [0, 1, 7, 64, 256] {
+                    let a = Matrix::from_vec(m, k, with_specials(m * k, &mut rng));
+                    let b = Matrix::from_vec(k, n, with_specials(k * n, &mut rng));
+                    let c = a.matmul(&b);
+                    assert_rows_match_row_kernel(&a, &b, &c, &format!("m={m} n={n} k={k}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_multi_row_matmul_is_bit_identical_to_the_row_kernel() {
+        // 67×256·256×129 ≈ 2.2 M MACs, above the parallel threshold, with
+        // row and column counts that leave a row remainder and a column tail.
+        let mut rng = Rng::seed_from(45);
+        let a = Matrix::from_vec(67, 256, with_specials(67 * 256, &mut rng));
+        let b = Matrix::from_vec(256, 129, with_specials(256 * 129, &mut rng));
+        for threads in [1, 2, 4] {
+            let c = nora_parallel::with_threads(threads, || a.matmul(&b));
+            assert_rows_match_row_kernel(&a, &b, &c, &format!("threads={threads}"));
         }
     }
 
