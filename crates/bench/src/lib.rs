@@ -14,7 +14,29 @@
 //! | `fig6ab` | Fig. 6a/b — per-layer kurtosis before/after NORA |
 //! | `fig6c` | Fig. 6c — rescale-factor (output current) shrink |
 //! | `drift_study` | §VII — accuracy under PCM drift |
-//! | `lambda_ablation` | future-work λ ablation (also `examples/`) |
+//!
+//! and every extension study (the paper's §VII future-work items) has one
+//! too:
+//!
+//! | target | runs |
+//! |---|---|
+//! | `lambda_ablation` | per-layer λ search (also `examples/`) |
+//! | `management_study` | noise/bound management (Fig. 1 "Challenge 2") |
+//! | `cross_device` | PCM vs ReRAM |
+//! | `energy_study` | energy/latency per token |
+//! | `slicing_study` | multi-cell weight precision |
+//! | `quant_baseline` | digital WxAx / SmoothQuant baselines |
+//! | `encoding_study` | analog DAC vs bit-serial input drive |
+//! | `layer_study` | per-layer analog sensitivity |
+//! | `fault_study` | hard faults: ±NORA, ±ABFT and recovery |
+//! | `drift_serving` | drift-aware long-horizon serving, ±online mitigation |
+//! | `analytic_validation` | closed-form noise model vs Monte-Carlo, point by point |
+//! | `design_space` | analytic Pareto sweep: accuracy vs energy vs latency |
+//! | `sparsity_study` | N:M pruning: accuracy vs pattern vs decode throughput |
+//! | `hwa_study` | straight-through hardware-aware training × NORA |
+//!
+//! Every bin has a `bench = false` entry in `Cargo.toml`, so `cargo bench
+//! -p nora-bench -- --metrics-out <path>` runs only the `benches/` targets.
 //!
 //! Trained models are cached under `NORA_CACHE_DIR` (default
 //! `target/nora-model-cache`), so only the first run of a binary pays the

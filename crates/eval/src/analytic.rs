@@ -109,7 +109,7 @@ use nora_cim::nonlinearity::{s_shape, s_shape_slice};
 use nora_cim::{BoundManagement, NoiseBudget, NoiseManagement, TileConfig};
 use nora_core::RescalePlan;
 use nora_nn::corpus::Episode;
-use nora_nn::{softmax_rows, AttnProj, LinearId, LinearKind, TransformerLm};
+use nora_nn::{softmax_rows, LinearId, LinearKind, TransformerLm};
 use nora_tensor::rng::Rng;
 use nora_tensor::Matrix;
 
@@ -901,12 +901,7 @@ const CAL_REL_LEVELS: [f64; 6] = [0.002, 0.01, 0.05, 0.25, 1.25, 6.25];
 /// final-position logits.
 fn digital_tail(model: &TransformerLm, mut x: Matrix, from_block: usize) -> Vec<f32> {
     for block in &model.blocks[from_block..] {
-        let ln1_out = block.ln1.forward_inference(&x);
-        let attn_out = block.attn.forward_inference(&ln1_out);
-        let x1 = x.add(&attn_out);
-        let ln2_out = block.ln2.forward_inference(&x1);
-        let h = block.fc1.forward(&ln2_out).map(|t| t.max(0.0));
-        x = x1.add(&block.fc2.forward(&h));
+        x = block.forward_inference(&x);
     }
     let xf = model.final_ln.forward_inference(&x);
     let logits = model.head.forward(&xf);
@@ -1040,24 +1035,11 @@ impl AnalyticEvaluator {
                         st.msq_v[c] += f64::from(t) * f64::from(t);
                     }
                 }
-                // The block forward itself uses the model's own kernels so
-                // the captured logits are bit-identical to
-                // `model.forward`.
-                let mut context_rows: Option<Matrix> = None;
-                let attn_out = block.attn.forward_inference_with(&ln1_out, |proj, input| {
-                    let lin = match proj {
-                        AttnProj::Q => &block.attn.wq,
-                        AttnProj::K => &block.attn.wk,
-                        AttnProj::V => &block.attn.wv,
-                        AttnProj::Out => {
-                            context_rows = Some(input.clone());
-                            &block.attn.wo
-                        }
-                    };
-                    lin.forward(input)
-                });
-                let context = context_rows.expect("attention hook always projects Out");
-                let x1 = x.add(&attn_out);
+                // The block forward itself uses the model's own kernels and
+                // attention core, so the captured logits are bit-identical
+                // to `model.forward`.
+                let context = block.attn.attend(&q, &k, &v);
+                let x1 = x.add(&block.attn.wo.forward(&context));
                 st.ln2_var += ln_mean_var(&x1) * rows as f64;
                 let ln2_out = block.ln2.forward_inference(&x1);
                 let h_pre = block.fc1.forward(&ln2_out);

@@ -71,10 +71,22 @@ impl MultiHeadAttention {
         m.submatrix(0, m.rows(), h * hd, (h + 1) * hd)
     }
 
-    /// Digital attention core shared by training and inference: given the
-    /// projected `q`, `k`, `v`, returns per-head probabilities and the
-    /// concatenated context.
-    fn attend(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> (Vec<Matrix>, Matrix) {
+    /// The batched causal attention core: given the projected `q`, `k`, `v`
+    /// of one sequence (each `seq × d`), returns the concatenated per-head
+    /// context (`seq × d`, the input of `wo`), row `i` attending over rows
+    /// `0..=i`. The training [`MultiHeadAttention::forward`] and every
+    /// inference pass without a KV cache run it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes disagree.
+    pub fn attend(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
+        self.attend_with_probs(q, k, v).1
+    }
+
+    /// [`MultiHeadAttention::attend`] that also returns the per-head
+    /// probabilities backward needs.
+    fn attend_with_probs(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> (Vec<Matrix>, Matrix) {
         let seq = q.rows();
         let d = self.dim();
         let hd = d / self.heads;
@@ -106,7 +118,7 @@ impl MultiHeadAttention {
         let q = self.wq.forward(x);
         let k = self.wk.forward(x);
         let v = self.wv.forward(x);
-        let (probs, context) = self.attend(&q, &k, &v);
+        let (probs, context) = self.attend_with_probs(&q, &k, &v);
         let y = self.wo.forward(&context);
         self.cache = Some(Cache {
             x: x.clone(),
@@ -119,43 +131,28 @@ impl MultiHeadAttention {
         y
     }
 
-    /// Forward without caching; optionally routes the four projections
-    /// through substitute linears (the analog deployment hook).
-    pub fn forward_inference_with<F>(&self, x: &Matrix, mut project: F) -> Matrix
-    where
-        F: FnMut(AttnProj, &Matrix) -> Matrix,
-    {
-        let q = project(AttnProj::Q, x);
-        let k = project(AttnProj::K, x);
-        let v = project(AttnProj::V, x);
-        let (_, context) = self.attend(&q, &k, &v);
-        project(AttnProj::Out, &context)
-    }
-
-    /// Forward without caching using the digital projections.
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let q = self.wq.forward(x);
-        let k = self.wk.forward(x);
-        let v = self.wv.forward(x);
-        let (_, context) = self.attend(&q, &k, &v);
-        self.wo.forward(&context)
-    }
-
     /// Single-query attention over cached keys/values (the KV-cache decode
     /// path): `q` is the projected query of the newest token (length `d`),
     /// `k_cache`/`v_cache` hold the projected keys/values of all tokens so
     /// far **including** the newest (each `t × d`, in logical oldest-first
-    /// order). Returns the attention context (length `d`) for the newest
-    /// position. Accepts [`KvView`]s so a ring-buffered [`crate::KvCache`]
-    /// can expose its window without copying; use [`KvView::full`] to attend
-    /// over a plain matrix.
+    /// order). Writes the attention context (length `d`) for the newest
+    /// position into `context`, overwriting it. Accepts [`KvView`]s so a
+    /// ring-buffered [`crate::KvCache`] can expose its window without
+    /// copying; use [`KvView::full`] to attend over a plain matrix.
     ///
     /// # Panics
     ///
     /// Panics if the shapes disagree.
-    pub fn attend_one(&self, q: &[f32], k_cache: KvView<'_>, v_cache: KvView<'_>) -> Vec<f32> {
+    pub fn attend_one(
+        &self,
+        q: &[f32],
+        k_cache: KvView<'_>,
+        v_cache: KvView<'_>,
+        context: &mut [f32],
+    ) {
         let d = self.dim();
         assert_eq!(q.len(), d, "query width mismatch");
+        assert_eq!(context.len(), d, "context width mismatch");
         assert_eq!(k_cache.len(), v_cache.len(), "cache length mismatch");
         assert_eq!(k_cache.cols(), d, "cache width mismatch");
         assert_eq!(v_cache.cols(), d, "cache width mismatch");
@@ -163,7 +160,7 @@ impl MultiHeadAttention {
         assert!(t > 0, "empty kv cache");
         let hd = d / self.heads;
         let scale = 1.0 / (hd as f32).sqrt();
-        let mut context = vec![0.0f32; d];
+        context.fill(0.0);
         for h in 0..self.heads {
             let qh = &q[h * hd..(h + 1) * hd];
             // Scores against every cached key (causality is implicit: the
@@ -190,7 +187,6 @@ impl MultiHeadAttention {
                 }
             }
         }
-        context
     }
 
     /// Backward pass; must follow a caching [`MultiHeadAttention::forward`].
@@ -258,20 +254,6 @@ impl MultiHeadAttention {
     }
 }
 
-/// Identifies one of the four attention projections (used by the analog
-/// deployment hook).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AttnProj {
-    /// Query projection.
-    Q,
-    /// Key projection.
-    K,
-    /// Value projection.
-    V,
-    /// Output projection.
-    Out,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,13 +279,13 @@ mod tests {
         let mut rng = Rng::seed_from(2);
         let attn = MultiHeadAttention::new(8, 2, &mut rng);
         let x = Matrix::random_normal(5, 8, 0.0, 1.0, &mut rng);
-        let y_full = attn.forward_inference(&x);
+        let y_full = attn.clone().forward(&x);
         // Perturb the last token; outputs at earlier positions must not move.
         let mut x2 = x.clone();
         for v in x2.row_mut(4) {
             *v += 10.0;
         }
-        let y_pert = attn.forward_inference(&x2);
+        let y_pert = attn.clone().forward(&x2);
         for i in 0..4 {
             for k in 0..8 {
                 assert!(
@@ -315,27 +297,17 @@ mod tests {
     }
 
     #[test]
-    fn forward_and_inference_agree() {
+    fn forward_runs_the_batched_core() {
         let mut rng = Rng::seed_from(3);
         let mut attn = MultiHeadAttention::new(12, 3, &mut rng);
         let x = Matrix::random_normal(4, 12, 0.0, 1.0, &mut rng);
-        let a = attn.forward(&x);
-        let b = attn.forward_inference(&x);
-        assert!(a.mse(&b) < 1e-12);
-    }
-
-    #[test]
-    fn forward_inference_with_digital_projections_matches() {
-        let mut rng = Rng::seed_from(4);
-        let attn = MultiHeadAttention::new(8, 2, &mut rng);
-        let x = Matrix::random_normal(3, 8, 0.0, 1.0, &mut rng);
-        let via_hook = attn.forward_inference_with(&x, |proj, input| match proj {
-            AttnProj::Q => attn.wq.forward(input),
-            AttnProj::K => attn.wk.forward(input),
-            AttnProj::V => attn.wv.forward(input),
-            AttnProj::Out => attn.wo.forward(input),
-        });
-        assert!(via_hook.mse(&attn.forward_inference(&x)) < 1e-12);
+        let (q, k, v) = (
+            attn.wq.forward(&x),
+            attn.wk.forward(&x),
+            attn.wv.forward(&x),
+        );
+        let want = attn.wo.forward(&attn.attend(&q, &k, &v));
+        assert_eq!(attn.forward(&x), want);
     }
 
     #[test]
@@ -353,8 +325,8 @@ mod tests {
             xp[(r, c)] += eps;
             let mut xm = x.clone();
             xm[(r, c)] -= eps;
-            let num = (quad_loss(&attn.forward_inference(&xp))
-                - quad_loss(&attn.forward_inference(&xm)))
+            let num = (quad_loss(&attn.clone().forward(&xp))
+                - quad_loss(&attn.clone().forward(&xm)))
                 / (2.0 * eps as f64);
             let ana = dx[(r, c)] as f64;
             assert!(
@@ -373,10 +345,7 @@ mod tests {
         for (name, ana) in grads {
             let mut plus = attn.clone();
             let mut minus = attn.clone();
-            fn pick_by<'a>(
-                a: &'a mut MultiHeadAttention,
-                name: &str,
-            ) -> &'a mut DigitalLinear {
+            fn pick_by<'a>(a: &'a mut MultiHeadAttention, name: &str) -> &'a mut DigitalLinear {
                 match name {
                     "wq" => &mut a.wq,
                     "wk" => &mut a.wk,
@@ -386,9 +355,8 @@ mod tests {
             }
             pick_by(&mut plus, name).weight.value[(1, 2)] += eps;
             pick_by(&mut minus, name).weight.value[(1, 2)] -= eps;
-            let num = (quad_loss(&plus.forward_inference(&x))
-                - quad_loss(&minus.forward_inference(&x)))
-                / (2.0 * eps as f64);
+            let num =
+                (quad_loss(&plus.forward(&x)) - quad_loss(&minus.forward(&x))) / (2.0 * eps as f64);
             assert!(
                 (num - ana).abs() < 3e-2 * (1.0 + ana.abs()),
                 "{name} num {num} ana {ana}"

@@ -3,6 +3,7 @@
 use crate::attention::MultiHeadAttention;
 use crate::layernorm::LayerNorm;
 use crate::linear::DigitalLinear;
+use crate::model::{KvCache, LinearId, LinearKind};
 use crate::param::Param;
 use nora_tensor::rng::Rng;
 use nora_tensor::Matrix;
@@ -25,6 +26,23 @@ pub struct TransformerBlock {
     /// FFN down-projection (`d_ff → d`).
     pub fc2: DigitalLinear,
     cache: Option<Cache>,
+}
+
+/// Where a block's attention finds the keys and values its rows attend
+/// over.
+pub(crate) enum Attend<'a> {
+    /// Among the pass's own rows, causally (row `i` over rows `0..=i`),
+    /// through the batched core.
+    Causal,
+    /// Behind the rows `cache` holds: every row's K/V is written to the
+    /// cache, and row `i` attends over the cached rows plus rows `0..=i`.
+    /// With `answer_only`, only the last row goes on past K/V (the answer
+    /// cone: in the last block the other rows would only feed logits that
+    /// nobody reads).
+    Cached {
+        cache: &'a mut KvCache,
+        answer_only: bool,
+    },
 }
 
 #[derive(Debug, Clone)]
@@ -80,14 +98,89 @@ impl TransformerBlock {
         y
     }
 
-    /// Forward without caching using the digital linears.
+    /// Forward without caching using the digital linears: the inference
+    /// block body, with the rows of `x` attending causally among themselves.
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let ln1_out = self.ln1.forward_inference(x);
-        let attn_out = self.attn.forward_inference(&ln1_out);
-        let x1 = x.add(&attn_out);
+        let mut digital = |id: LinearId, x: &Matrix| self.linear(id.kind).forward(x);
+        self.infer(0, x.clone(), Attend::Causal, &mut digital)
+    }
+
+    /// The inference block body every forward, calibration and decode path
+    /// runs, as block `b` of its model: LN1 → Q, K, V → attention → Out →
+    /// residual → LN2 → FC1 → ReLU → FC2 → residual. `project` runs each
+    /// linear once (digital, observing or analog), Q before K and V. Only
+    /// the rows that go on past K/V come back (see [`Attend::Cached`]).
+    pub(crate) fn infer(
+        &self,
+        b: usize,
+        x: Matrix,
+        attend: Attend<'_>,
+        project: &mut impl FnMut(LinearId, &Matrix) -> Matrix,
+    ) -> Matrix {
+        let id = |kind| LinearId::new(b, kind);
+        let (n, d) = x.shape();
+        // Rows `first..n` go on past K/V: all of them, except in the answer
+        // cone, where only the last row does.
+        let first = match attend {
+            Attend::Cached {
+                answer_only: true, ..
+            } => n - 1,
+            _ => 0,
+        };
+        let ln1_out = self.ln1.forward_inference(&x);
+        let (mut x1, q) = if first == 0 {
+            (x, project(id(LinearKind::Q), &ln1_out))
+        } else {
+            let q_in = ln1_out.submatrix(first, n, 0, d);
+            (
+                x.submatrix(first, n, 0, d),
+                project(id(LinearKind::Q), &q_in),
+            )
+        };
+        let k = project(id(LinearKind::K), &ln1_out);
+        let v = project(id(LinearKind::V), &ln1_out);
+        let context = match attend {
+            Attend::Causal => self.attn.attend(&q, &k, &v),
+            Attend::Cached { cache, .. } => {
+                cache.write_rows(b, &k, &v);
+                let mut context = Matrix::zeros(q.rows(), d);
+                for i in 0..q.rows() {
+                    let (kc, vc) = cache.view_rows(b, first + i + 1);
+                    self.attn.attend_one(q.row(i), kc, vc, context.row_mut(i));
+                }
+                context
+            }
+        };
+        x1.add_assign(&project(id(LinearKind::Out), &context));
         let ln2_out = self.ln2.forward_inference(&x1);
-        let h = self.fc1.forward(&ln2_out).map(|v| v.max(0.0));
-        x1.add(&self.fc2.forward(&h))
+        let mut h = project(id(LinearKind::Fc1), &ln2_out);
+        h.map_assign(|v| v.max(0.0));
+        x1.add_assign(&project(id(LinearKind::Fc2), &h));
+        x1
+    }
+
+    /// Borrow of one of the block's six analog-mappable linears.
+    pub(crate) fn linear(&self, kind: LinearKind) -> &DigitalLinear {
+        match kind {
+            LinearKind::Q => &self.attn.wq,
+            LinearKind::K => &self.attn.wk,
+            LinearKind::V => &self.attn.wv,
+            LinearKind::Out => &self.attn.wo,
+            LinearKind::Fc1 => &self.fc1,
+            LinearKind::Fc2 => &self.fc2,
+        }
+    }
+
+    /// Mutable borrow of one of the block's six analog-mappable linears.
+    pub(crate) fn linear_mut(&mut self, kind: LinearKind) -> &mut DigitalLinear {
+        match kind {
+            LinearKind::Q => &mut self.attn.wq,
+            LinearKind::K => &mut self.attn.wk,
+            LinearKind::V => &mut self.attn.wv,
+            LinearKind::Out => &mut self.attn.wo,
+            LinearKind::Fc1 => &mut self.fc1,
+            LinearKind::Fc2 => &mut self.fc2,
+        }
     }
 
     /// Backward pass; must follow a caching [`TransformerBlock::forward`].
@@ -104,11 +197,7 @@ impl TransformerBlock {
         // FFN branch.
         let dh_act = self.fc2.backward(&cache.h_act, dy);
         let mut dh_pre = dh_act;
-        for (g, &pre) in dh_pre
-            .as_mut_slice()
-            .iter_mut()
-            .zip(cache.h_pre.as_slice())
-        {
+        for (g, &pre) in dh_pre.as_mut_slice().iter_mut().zip(cache.h_pre.as_slice()) {
             if pre <= 0.0 {
                 *g = 0.0;
             }
@@ -170,8 +259,7 @@ mod tests {
             xp[(r, c)] += eps;
             let mut xm = x.clone();
             xm[(r, c)] -= eps;
-            let num = (quad(&block.forward_inference(&xp))
-                - quad(&block.forward_inference(&xm)))
+            let num = (quad(&block.forward_inference(&xp)) - quad(&block.forward_inference(&xm)))
                 / (2.0 * eps as f64);
             let ana = dx[(r, c)] as f64;
             assert!(

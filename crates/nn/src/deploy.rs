@@ -10,8 +10,7 @@
 //! A per-layer smoothing map (produced by `nora-core`) turns a naive
 //! deployment into a NORA deployment.
 
-use crate::attention::AttnProj;
-use crate::model::{KvCache, LinearId, LinearKind, TransformerLm};
+use crate::model::{KvCache, LinearId, TransformerLm};
 use nora_cim::{
     AnalogLinear, CimError, DriftCompensation, ForwardStats, KeyedCtx, TileConfig, TileEffect,
     TileEvent, TileHealth,
@@ -220,44 +219,19 @@ impl AnalogTransformerLm {
 
     /// Forward pass: logits `(seq × vocab)` with analog linears.
     pub fn forward(&mut self, tokens: &[usize]) -> Matrix {
-        let mut x = self.model.embedding.forward_inference(tokens);
-        // Split borrows: blocks are read from `model`, analog layers mutate.
-        let analog = &mut self.analog;
-        for (b, block) in self.model.blocks.iter().enumerate() {
-            // Run a linear on its analog tiles if mapped, else digitally.
-            let ln1_out = block.ln1.forward_inference(&x);
-            let attn_out = block.attn.forward_inference_with(&ln1_out, |proj, input| {
-                let (kind, digital) = match proj {
-                    AttnProj::Q => (LinearKind::Q, &block.attn.wq),
-                    AttnProj::K => (LinearKind::K, &block.attn.wk),
-                    AttnProj::V => (LinearKind::V, &block.attn.wv),
-                    AttnProj::Out => (LinearKind::Out, &block.attn.wo),
-                };
-                match analog.get_mut(&LinearId::new(b, kind)) {
-                    Some(layer) => layer.forward(input),
-                    None => digital.forward(input),
-                }
-            });
-            let x1 = x.add(&attn_out);
-            let ln2_out = block.ln2.forward_inference(&x1);
-            let h = match analog.get_mut(&LinearId::new(b, LinearKind::Fc1)) {
-                Some(layer) => layer.forward(&ln2_out),
-                None => block.fc1.forward(&ln2_out),
-            }
-            .map(|v| v.max(0.0));
-            let ffn_out = match analog.get_mut(&LinearId::new(b, LinearKind::Fc2)) {
-                Some(layer) => layer.forward(&h),
-                None => block.fc2.forward(&h),
-            };
-            x = x1.add(&ffn_out);
-        }
-        let x = self.model.final_ln.forward_inference(&x);
-        self.model.head.forward(&x)
+        // Split borrows: the pass reads `model`, analog layers mutate.
+        let (model, analog) = (&self.model, &mut self.analog);
+        model.pass(tokens, None, &mut |id, x| match analog.get_mut(&id) {
+            Some(layer) => layer.forward(x),
+            None => model.linear(id).forward(x),
+        })
     }
 
     /// One incremental decode step on the analog deployment, on
-    /// **counter-keyed** noise streams (see [`TransformerLm::decode_step`]
-    /// for the cache contract). The K/V rows appended to the cache are the
+    /// **counter-keyed** noise streams: the model's inference pass over one
+    /// row, as [`TransformerLm::decode_step`] (see it for the cache
+    /// contract), with the keyed tiles as its linears. Linears left digital
+    /// give `decode_step`'s bits. The K/V rows appended to the cache are the
     /// *analog* projections — the cache holds what the hardware actually
     /// computed. The deployment is shared immutably across concurrent
     /// serving slots, and every tile's noise sequence is a pure function of
@@ -284,68 +258,25 @@ impl AnalogTransformerLm {
         ctx: &mut DecodeCtx,
         effects: &mut Vec<(LinearId, TileEffect)>,
     ) -> Vec<f32> {
-        use nora_tensor::Matrix as M;
         let model = &self.model;
-        let pos = cache.next_position();
-        let d = model.config().d_model;
-        let mut x = M::zeros(1, d);
-        {
-            assert!(token < model.config().vocab, "token out of vocab");
-            let te = model.embedding.tokens.value.row(token);
-            let pe = model.embedding.positions.value.row(pos);
-            for (o, (&a, &b)) in x.row_mut(0).iter_mut().zip(te.iter().zip(pe)) {
-                *o = a + b;
+        let mut keyed = |id: LinearId, x: &Matrix| match self.analog.get(&id) {
+            Some(layer) => {
+                let mut out = Matrix::zeros(1, layer.d_out());
+                ctx.fx.clear();
+                layer.forward_single_keyed(
+                    x.row(0),
+                    out.row_mut(0),
+                    noise_seed,
+                    position,
+                    &mut ctx.cim,
+                    &mut ctx.fx,
+                );
+                effects.extend(ctx.fx.drain(..).map(|e| (id, e)));
+                out
             }
-        }
-        let analog = &self.analog;
-        let run = |b: usize,
-                   kind: LinearKind,
-                   digital: &crate::DigitalLinear,
-                   input: &M,
-                   ctx: &mut DecodeCtx,
-                   effects: &mut Vec<(LinearId, TileEffect)>| {
-            let id = LinearId::new(b, kind);
-            match analog.get(&id) {
-                Some(layer) => {
-                    let mut out = M::zeros(1, layer.d_out());
-                    ctx.fx.clear();
-                    layer.forward_single_keyed(
-                        input.row(0),
-                        out.row_mut(0),
-                        noise_seed,
-                        position,
-                        &mut ctx.cim,
-                        &mut ctx.fx,
-                    );
-                    effects.extend(ctx.fx.drain(..).map(|e| (id, e)));
-                    out
-                }
-                None => digital.forward(input),
-            }
+            None => model.linear(id).forward(x),
         };
-        for (b, block) in model.blocks.iter().enumerate() {
-            let ln1_out = block.ln1.forward_inference(&x);
-            let q = run(b, LinearKind::Q, &block.attn.wq, &ln1_out, ctx, effects);
-            let k = run(b, LinearKind::K, &block.attn.wk, &ln1_out, ctx, effects);
-            let v = run(b, LinearKind::V, &block.attn.wv, &ln1_out, ctx, effects);
-            cache.append(b, k.row(0), v.row(0));
-            let (kc, vc) = cache.view(b);
-
-            let context = block.attn.attend_one(q.row(0), kc, vc);
-            let context = M::from_vec(1, d, context);
-            let attn_out = run(b, LinearKind::Out, &block.attn.wo, &context, ctx, effects);
-            let mut x1 = x;
-            x1.add_assign(&attn_out);
-            let ln2_out = block.ln2.forward_inference(&x1);
-            let mut h = run(b, LinearKind::Fc1, &block.fc1, &ln2_out, ctx, effects);
-            h.map_assign(|v| v.max(0.0));
-            let f = run(b, LinearKind::Fc2, &block.fc2, &h, ctx, effects);
-            x = x1;
-            x.add_assign(&f);
-        }
-        cache.advance();
-        let x = model.final_ln.forward_inference(&x);
-        model.head.forward(&x).into_vec()
+        model.pass(&[token], Some(cache), &mut keyed).into_vec()
     }
 
     /// Replays the deferred tile effects of one or more keyed decode steps
@@ -515,7 +446,7 @@ impl AnalogTransformerLm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::ModelConfig;
+    use crate::model::{LinearKind, ModelConfig};
     use nora_tensor::rng::Rng;
 
     fn tiny_model(seed: u64) -> TransformerLm {
@@ -618,6 +549,38 @@ mod tests {
         let tokens = [3usize, 1, 4];
         // No analog layer: forward must be bit-exact digital.
         assert_eq!(none.forward(&tokens), model.forward(&tokens));
+    }
+
+    #[test]
+    fn keyed_step_without_analog_layers_is_the_digital_step() {
+        let cfg = ModelConfig {
+            layers: 2,
+            ..ModelConfig::tiny_for_tests()
+        };
+        let model = TransformerLm::new(cfg, &mut Rng::seed_from(29));
+        let none = AnalogTransformerLm::with_layer_filter(
+            &model,
+            TileConfig::paper_default(),
+            &SmoothingMap::new(),
+            30,
+            |_| false,
+        );
+        // A window shorter than the sequence, so the ring evicts.
+        let window = 5;
+        let mut keyed = KvCache::with_capacity(&model, window);
+        let mut digital = KvCache::with_capacity(&model, window);
+        let (mut ctx, mut effects) = (DecodeCtx::default(), Vec::new());
+        for pos in 0..12 {
+            let token = (pos * 7 + 3) % cfg.vocab;
+            let got =
+                none.decode_step_keyed(token, &mut keyed, 31, pos as u64, &mut ctx, &mut effects);
+            let want = model.decode_step(token, &mut digital);
+            let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "position {pos}");
+        }
+        assert!(effects.is_empty());
+        assert_eq!(keyed.evicted(), 7);
+        assert_eq!(digital.evicted(), 7);
     }
 
     #[test]

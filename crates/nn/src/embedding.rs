@@ -59,10 +59,16 @@ impl Embedding {
     ///
     /// Same conditions as [`Embedding::forward`].
     pub fn forward_inference(&self, tokens: &[usize]) -> Matrix {
+        self.embed_at(tokens, 0)
+    }
+
+    /// Embeds `tokens` at consecutive positions from `pos0` (a decode pass
+    /// continues after the positions its KV cache holds).
+    pub(crate) fn embed_at(&self, tokens: &[usize], pos0: usize) -> Matrix {
+        let end = pos0 + tokens.len();
         assert!(
-            tokens.len() <= self.max_seq(),
-            "sequence {} exceeds max_seq {}",
-            tokens.len(),
+            end <= self.max_seq(),
+            "sequence {end} exceeds max_seq {}",
             self.max_seq()
         );
         let d = self.dim();
@@ -71,7 +77,7 @@ impl Embedding {
             assert!(tok < self.vocab(), "token {tok} out of vocab");
             let row = out.row_mut(t);
             let te = self.tokens.value.row(tok);
-            let pe = self.positions.value.row(t);
+            let pe = self.positions.value.row(pos0 + t);
             for k in 0..d {
                 row[k] = te[k] + pe[k];
             }

@@ -2,9 +2,12 @@
 //!
 //! NORA targets *inference*: the ultimate consumer of an analog-deployed LM
 //! is a token-by-token decode loop. That loop is the serving engine
-//! (`nora_serve::GenerationEngine`), which decodes an analog deployment
-//! through [`crate::deploy::AnalogTransformerLm::decode_step_keyed`]. This
-//! module holds the sampler it shares and the two digital loops the engine
+//! (`nora_serve::GenerationEngine`). Every decode it makes is the model's one
+//! inference pass over a set of rows behind a KV cache: a digital refill is
+//! one [`crate::TransformerLm::decode_rows`] call, and an analog deployment
+//! decodes one keyed row per
+//! [`crate::deploy::AnalogTransformerLm::decode_step_keyed`] call. This
+//! module holds the sampler the engine shares and the two digital loops it
 //! is tested against: the uncached truncation reference and its KV-cached
 //! equivalent.
 

@@ -57,7 +57,7 @@ pub mod ste;
 pub mod trainer;
 pub mod zoo;
 
-pub use attention::{AttnProj, MultiHeadAttention};
+pub use attention::MultiHeadAttention;
 pub use block::TransformerBlock;
 pub use embedding::Embedding;
 pub use layernorm::LayerNorm;

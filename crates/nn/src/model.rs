@@ -1,6 +1,6 @@
 //! The decoder-only transformer language model.
 
-use crate::block::TransformerBlock;
+use crate::block::{Attend, TransformerBlock};
 use crate::embedding::Embedding;
 use crate::layernorm::LayerNorm;
 use crate::linear::DigitalLinear;
@@ -100,7 +100,11 @@ impl ModelConfig {
     pub fn param_count(&self) -> usize {
         let d = self.d_model;
         let per_block = 4 * (d * d + d) + 2 * (d * self.d_ff) + self.d_ff + d + 4 * d;
-        self.vocab * d + self.max_seq * d + self.layers * per_block + 2 * d + d * self.vocab
+        self.vocab * d
+            + self.max_seq * d
+            + self.layers * per_block
+            + 2 * d
+            + d * self.vocab
             + self.vocab
     }
 
@@ -127,10 +131,12 @@ impl ModelConfig {
 ///
 /// Avoids re-running attention over the whole context at every generated
 /// token: each decoded token appends one projected K/V row per block and
-/// attends only from its own query. [`TransformerLm::decode_rows`] (and
-/// [`TransformerLm::decode_step`], its one-row case) appends the rows of
-/// several tokens in one pass; the keyed analog step
-/// [`crate::deploy::AnalogTransformerLm::decode_step_keyed`] appends one.
+/// attends only from its own query. Every decode call runs the model's one
+/// inference pass over a set of rows: [`TransformerLm::decode_rows`]
+/// appends the rows of several tokens at once, and
+/// [`TransformerLm::decode_step`] and the keyed analog step
+/// [`crate::deploy::AnalogTransformerLm::decode_step_keyed`] are that pass
+/// over one row.
 ///
 /// Storage is a **fixed-capacity ring buffer**: the `capacity × d_model`
 /// K/V matrices are allocated once at construction, appends are `O(1)`
@@ -151,8 +157,6 @@ pub struct KvCache {
     start: usize,
     /// Ring capacity (the sliding-window length), `≤ max_seq`.
     capacity: usize,
-    /// Whether the current decode step has appended but not yet advanced.
-    pending: bool,
     /// Total positions evicted by ring wrap-around since construction.
     evicted: u64,
 }
@@ -184,7 +188,6 @@ impl KvCache {
             len: 0,
             start: 0,
             capacity,
-            pending: false,
             evicted: 0,
         }
     }
@@ -219,7 +222,6 @@ impl KvCache {
     pub fn reset(&mut self) {
         self.len = 0;
         self.start = 0;
-        self.pending = false;
         self.evicted = 0;
     }
 
@@ -229,12 +231,6 @@ impl KvCache {
     /// phases, so new tokens keep decoding at the final position.
     pub fn next_position(&self) -> usize {
         self.len.min(self.capacity - 1)
-    }
-
-    /// Ring view of one block's `(keys, values)` in logical (oldest-first)
-    /// order, including a pending un-advanced append to that block.
-    pub(crate) fn view(&self, b: usize) -> (KvView<'_>, KvView<'_>) {
-        self.view_rows(b, usize::from(self.pending))
     }
 
     /// Ring view of one block's `(keys, values)` in logical (oldest-first)
@@ -256,18 +252,10 @@ impl KvCache {
         (KvView::new(k, start, len), KvView::new(v, start, len))
     }
 
-    /// Marks one more position as cached (every block must have been
-    /// appended exactly once since the last advance). On a full cache this
-    /// rotates the ring, evicting the oldest position.
-    pub(crate) fn advance(&mut self) {
-        self.advance_by(1);
-    }
-
     /// Marks `n` more positions as cached (every block must hold the rows
     /// [`KvCache::write_rows`] wrote past the cached ones). Past capacity the
     /// ring rotates, evicting the oldest positions.
     pub(crate) fn advance_by(&mut self, n: usize) {
-        self.pending = false;
         let total = self.len + n;
         if total <= self.capacity {
             self.len = total;
@@ -279,26 +267,17 @@ impl KvCache {
         }
     }
 
-    pub(crate) fn append(&mut self, block: usize, k: &[f32], v: &[f32]) {
-        self.pending = true;
-        self.write_row(block, 0, k, v);
-    }
-
     /// Writes row `i` of `k` and `v` into one block at logical position
     /// `len + i`, for every row, without advancing the cache.
     pub(crate) fn write_rows(&mut self, block: usize, k: &Matrix, v: &Matrix) {
-        for i in 0..k.rows() {
-            self.write_row(block, i, k.row(i), v.row(i));
-        }
-    }
-
-    fn write_row(&mut self, block: usize, i: usize, k: &[f32], v: &[f32]) {
-        // On a full ring `(start + len) % capacity == start`: the newest row
-        // overwrites the oldest in place.
-        let phys = (self.start + self.len + i) % self.capacity;
         let (kc, vc) = &mut self.blocks[block];
-        kc.row_mut(phys).copy_from_slice(k);
-        vc.row_mut(phys).copy_from_slice(v);
+        for i in 0..k.rows() {
+            // On a full ring `(start + len) % capacity == start`: the newest
+            // row overwrites the oldest in place.
+            let phys = (self.start + self.len + i) % self.capacity;
+            kc.row_mut(phys).copy_from_slice(k.row(i));
+            vc.row_mut(phys).copy_from_slice(v.row(i));
+        }
     }
 }
 
@@ -401,41 +380,76 @@ impl TransformerLm {
 
     /// Inference forward: logits `(seq × vocab)` for a token sequence.
     pub fn forward(&self, tokens: &[usize]) -> Matrix {
-        let mut x = self.embedding.forward_inference(tokens);
-        for block in &self.blocks {
-            x = block.forward_inference(&x);
-        }
-        let x = self.final_ln.forward_inference(&x);
-        self.head.forward(&x)
+        self.pass(tokens, None, &mut |id, x| self.linear(id).forward(x))
     }
 
     /// Inference forward that also reports the input of every
     /// analog-mappable linear to `observer` — the calibration hook used by
-    /// NORA to collect per-channel activation maxima.
+    /// NORA to collect per-channel activation maxima. The logits are those
+    /// of [`TransformerLm::forward`], bit for bit.
     pub fn forward_observed<F>(&self, tokens: &[usize], observer: &mut F) -> Matrix
     where
         F: FnMut(LinearId, &Matrix),
     {
-        use crate::attention::AttnProj;
-        let mut x = self.embedding.forward_inference(tokens);
+        self.pass(tokens, None, &mut |id, x| {
+            observer(id, x);
+            self.linear(id).forward(x)
+        })
+    }
+
+    /// The inference pass that every forward, calibration, eval and decode
+    /// path runs: embeds `tokens`, runs the block body
+    /// ([`TransformerBlock::infer`]) of every block with `project` as its
+    /// linears, then the final LayerNorm and the head.
+    ///
+    /// Without a cache the rows sit at positions `0..n`, attend causally
+    /// among themselves, and the logits of every row come back (`n ×
+    /// vocab`). With one they continue at the cache's next position, their
+    /// K/V rows are appended behind the cached ones, and only the last row
+    /// goes on past K/V in the last block, so one row of logits comes back
+    /// (the answer cone).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a token is out of vocabulary or past `max_seq`; with a
+    /// cache, also if `tokens` is empty, if there are more tokens than free
+    /// positions (a single token on a full cache evicts the oldest
+    /// position), or if the cache was built for a different architecture.
+    pub(crate) fn pass(
+        &self,
+        tokens: &[usize],
+        mut cache: Option<&mut KvCache>,
+        project: &mut impl FnMut(LinearId, &Matrix) -> Matrix,
+    ) -> Matrix {
+        let n = tokens.len();
+        if let Some(cache) = &cache {
+            assert_eq!(
+                cache.blocks.len(),
+                self.blocks.len(),
+                "cache/model mismatch"
+            );
+            assert!(n > 0, "a decode pass needs at least one token");
+            assert!(
+                n == 1 || cache.len() + n <= cache.capacity(),
+                "{n} rows do not fit the {} free positions of the cache",
+                cache.capacity() - cache.len()
+            );
+        }
+        let pos0 = cache.as_ref().map_or(0, |c| c.next_position());
+        let mut x = self.embedding.embed_at(tokens, pos0);
+        let last_block = self.blocks.len() - 1;
         for (b, block) in self.blocks.iter().enumerate() {
-            let ln1_out = block.ln1.forward_inference(&x);
-            let attn_out = block.attn.forward_inference_with(&ln1_out, |proj, input| {
-                let (kind, lin) = match proj {
-                    AttnProj::Q => (LinearKind::Q, &block.attn.wq),
-                    AttnProj::K => (LinearKind::K, &block.attn.wk),
-                    AttnProj::V => (LinearKind::V, &block.attn.wv),
-                    AttnProj::Out => (LinearKind::Out, &block.attn.wo),
-                };
-                observer(LinearId::new(b, kind), input);
-                lin.forward(input)
-            });
-            let x1 = x.add(&attn_out);
-            let ln2_out = block.ln2.forward_inference(&x1);
-            observer(LinearId::new(b, LinearKind::Fc1), &ln2_out);
-            let h = block.fc1.forward(&ln2_out).map(|v| v.max(0.0));
-            observer(LinearId::new(b, LinearKind::Fc2), &h);
-            x = x1.add(&block.fc2.forward(&h));
+            let attend = match cache.as_deref_mut() {
+                Some(cache) => Attend::Cached {
+                    cache,
+                    answer_only: b == last_block,
+                },
+                None => Attend::Causal,
+            };
+            x = block.infer(b, x, attend, project);
+        }
+        if let Some(cache) = cache {
+            cache.advance_by(n);
         }
         let x = self.final_ln.forward_inference(&x);
         self.head.forward(&x)
@@ -443,28 +457,12 @@ impl TransformerLm {
 
     /// Borrow of one analog-mappable linear.
     pub fn linear(&self, id: LinearId) -> &DigitalLinear {
-        let block = &self.blocks[id.block];
-        match id.kind {
-            LinearKind::Q => &block.attn.wq,
-            LinearKind::K => &block.attn.wk,
-            LinearKind::V => &block.attn.wv,
-            LinearKind::Out => &block.attn.wo,
-            LinearKind::Fc1 => &block.fc1,
-            LinearKind::Fc2 => &block.fc2,
-        }
+        self.blocks[id.block].linear(id.kind)
     }
 
     /// Mutable borrow of one analog-mappable linear.
     pub fn linear_mut(&mut self, id: LinearId) -> &mut DigitalLinear {
-        let block = &mut self.blocks[id.block];
-        match id.kind {
-            LinearKind::Q => &mut block.attn.wq,
-            LinearKind::K => &mut block.attn.wk,
-            LinearKind::V => &mut block.attn.wv,
-            LinearKind::Out => &mut block.attn.wo,
-            LinearKind::Fc1 => &mut block.fc1,
-            LinearKind::Fc2 => &mut block.fc2,
-        }
+        self.blocks[id.block].linear_mut(id.kind)
     }
 
     /// All analog-mappable linear ids of this model, in forward order.
@@ -647,64 +645,8 @@ impl TransformerLm {
     /// assert_eq!(pass.len(), 3);
     /// ```
     pub fn decode_rows(&self, tokens: &[usize], cache: &mut KvCache) -> Vec<f32> {
-        assert_eq!(
-            cache.blocks.len(),
-            self.blocks.len(),
-            "cache/model mismatch"
-        );
-        let n = tokens.len();
-        assert!(n > 0, "decode_rows needs at least one token");
-        assert!(
-            n == 1 || cache.len() + n <= cache.capacity(),
-            "{n} rows do not fit the {} free positions of the cache",
-            cache.capacity() - cache.len()
-        );
-        let pos0 = cache.next_position();
-        let d = self.config.d_model;
-        // Embed each token at its position.
-        let mut x = Matrix::zeros(n, d);
-        for (i, &token) in tokens.iter().enumerate() {
-            assert!(token < self.config.vocab, "token out of vocab");
-            let te = self.embedding.tokens.value.row(token);
-            let pe = self.embedding.positions.value.row(pos0 + i);
-            for (o, (&a, &b)) in x.row_mut(i).iter_mut().zip(te.iter().zip(pe)) {
-                *o = a + b;
-            }
-        }
-        let last_block = self.blocks.len() - 1;
-        for (b, block) in self.blocks.iter().enumerate() {
-            let ln1_out = block.ln1.forward_inference(&x);
-            let k = block.attn.wk.forward(&ln1_out);
-            let v = block.attn.wv.forward(&ln1_out);
-            cache.write_rows(b, &k, &v);
-            // Rows `first..n` go on past K/V: all of them, except in the
-            // last block, where only the last row reaches the logits.
-            let first = if b == last_block { n - 1 } else { 0 };
-            let (resid, ln1_out) = if first == 0 {
-                (x, ln1_out)
-            } else {
-                (
-                    x.submatrix(first, n, 0, d),
-                    ln1_out.submatrix(first, n, 0, d),
-                )
-            };
-            let q = block.attn.wq.forward(&ln1_out);
-            let mut context = Matrix::zeros(q.rows(), d);
-            for i in 0..q.rows() {
-                let (kc, vc) = cache.view_rows(b, first + i + 1);
-                context
-                    .row_mut(i)
-                    .copy_from_slice(&block.attn.attend_one(q.row(i), kc, vc));
-            }
-            let attn_out = block.attn.wo.forward(&context);
-            let x1 = resid.add(&attn_out);
-            let ln2_out = block.ln2.forward_inference(&x1);
-            let h = block.fc1.forward(&ln2_out).map(|v| v.max(0.0));
-            x = x1.add(&block.fc2.forward(&h));
-        }
-        cache.advance_by(n);
-        let x = self.final_ln.forward_inference(&x);
-        self.head.forward(&x).into_vec()
+        self.pass(tokens, Some(cache), &mut |id, x| self.linear(id).forward(x))
+            .into_vec()
     }
 
     /// Greedy argmax prediction at the last position of `tokens`.
@@ -746,12 +688,17 @@ mod tests {
             seen.push((id, x.shape()));
         });
         let b = model.forward(&tokens);
-        assert!(a.mse(&b) < 1e-12);
-        // 1 layer × 6 linears observed
-        assert_eq!(seen.len(), 6);
-        assert_eq!(seen[0].0, LinearId::new(0, LinearKind::Q));
-        assert_eq!(seen[4].1, (5, 16)); // fc1 input: seq × d_model
-        assert_eq!(seen[5].1, (5, 32)); // fc2 input: seq × d_ff
+        assert_eq!(bits(a.as_slice()), bits(b.as_slice()));
+        // Every linear's input, in forward order: seq × d_model, except the
+        // FC2 input, seq × d_ff.
+        let want: Vec<(LinearId, (usize, usize))> = LinearKind::ALL
+            .into_iter()
+            .map(|kind| {
+                let width = if kind == LinearKind::Fc2 { 32 } else { 16 };
+                (LinearId::new(0, kind), (5, width))
+            })
+            .collect();
+        assert_eq!(seen, want);
     }
 
     #[test]
@@ -834,7 +781,7 @@ mod tests {
         assert_eq!(ring.len(), window);
         assert_eq!(ring.evicted(), (tokens.len() - window) as u64);
         // Views expose the last `window` appended rows, oldest first.
-        let (kv, _) = ring.view(0);
+        let (kv, _) = ring.view_rows(0, 0);
         assert_eq!(kv.len(), window);
         // Re-decode only the final token into a clone whose ring head is
         // elsewhere: its newest row must equal the ring's newest row.
@@ -843,7 +790,7 @@ mod tests {
         for &t in &tokens[tokens.len() - window..] {
             model.decode_step(t, &mut replay);
         }
-        let (rk, _) = replay.view(0);
+        let (rk, _) = replay.view_rows(0, 0);
         // Newest K row matches: the final token was embedded at position
         // window-1 in both caches (ring saturates next_position there).
         assert_eq!(kv.row(window - 1), rk.row(window - 1));
@@ -857,7 +804,7 @@ mod tests {
     fn cache_bits(cache: &KvCache) -> Vec<Vec<u32>> {
         let mut rows = Vec::new();
         for b in 0..cache.blocks.len() {
-            let (k, v) = cache.view(b);
+            let (k, v) = cache.view_rows(b, 0);
             for i in 0..k.len() {
                 rows.push(bits(k.row(i)));
                 rows.push(bits(v.row(i)));
@@ -944,6 +891,46 @@ mod tests {
         let mut cache = KvCache::with_capacity(&model, 4);
         model.decode_step(1, &mut cache);
         model.decode_rows(&[1, 2, 3, 4], &mut cache);
+    }
+
+    /// `(linear, rows of its input)` for every projection of one pass over
+    /// `n` tokens, in call order.
+    fn rows_seen(
+        model: &TransformerLm,
+        n: usize,
+        cache: Option<&mut KvCache>,
+    ) -> Vec<(LinearId, usize)> {
+        let tokens: Vec<usize> = (0..n).map(|i| (i * 5 + 2) % model.config().vocab).collect();
+        let mut seen = Vec::new();
+        model.pass(&tokens, cache, &mut |id, x| {
+            seen.push((id, x.rows()));
+            model.linear(id).forward(x)
+        });
+        seen
+    }
+
+    #[test]
+    fn cached_pass_computes_only_the_answer_cone() {
+        let model = two_layer_model(28);
+        let n = 5;
+        // Every linear of block 0 and K/V of the last block see all rows;
+        // the last block's Q, Out, FC1 and FC2 see the last row alone.
+        let cone: Vec<(LinearId, usize)> = model
+            .linear_ids()
+            .into_iter()
+            .map(|id| {
+                let kv = matches!(id.kind, LinearKind::K | LinearKind::V);
+                (id, if id.block == 1 && !kv { 1 } else { n })
+            })
+            .collect();
+        let mut cache = KvCache::new(&model);
+        assert_eq!(rows_seen(&model, n, Some(&mut cache)), cone);
+        assert_eq!(cache.len(), n);
+        // Without a cache every row's logits come back, so every linear
+        // sees every row.
+        let all: Vec<(LinearId, usize)> =
+            model.linear_ids().into_iter().map(|id| (id, n)).collect();
+        assert_eq!(rows_seen(&model, n, None), all);
     }
 
     #[test]
