@@ -10,25 +10,18 @@
 //! `NORA_FAST=1` shrinks the MSE grid for smoke runs;
 //! `NORA_AV_MSE_POINTS` overrides the grid depth directly.
 
-use nora_bench::{fast_mode, prepare_cached};
+use nora_bench::{env_scalar, fast_mode, parsed, prepare_cached, write_results, Error};
 use nora_eval::runner::{analytic_validation, AnalyticValidationConfig, AnalyticValidationRow};
 use nora_nn::zoo::opt_presets;
 
-fn main() {
-    let opt = &opt_presets()[0];
-    let prepared = vec![prepare_cached(opt)];
-
+fn main() -> Result<(), Error> {
     let mut cfg = AnalyticValidationConfig::default();
     if fast_mode() {
         cfg.mse_points = 2;
     }
-    if let Some(p) = std::env::var("NORA_AV_MSE_POINTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        cfg.mse_points = p;
-    }
+    cfg.mse_points = env_scalar("NORA_AV_MSE_POINTS", cfg.mse_points, parsed)?;
 
+    let prepared = vec![prepare_cached(&opt_presets()[0])];
     let t0 = std::time::Instant::now();
     let rows = analytic_validation(&prepared, &cfg);
     println!("{}", AnalyticValidationRow::table(&rows).render());
@@ -40,12 +33,8 @@ fn main() {
         100.0 * frac,
     );
 
-    let csv_path = std::path::Path::new("results").join("analytic_validation.csv");
-    if let Some(dir) = csv_path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&csv_path, AnalyticValidationRow::csv(&rows)) {
-        Ok(()) => println!("wrote {}", csv_path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", csv_path.display()),
-    }
+    write_results(
+        "analytic_validation.csv",
+        &AnalyticValidationRow::csv(&rows),
+    )
 }

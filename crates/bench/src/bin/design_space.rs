@@ -4,47 +4,33 @@
 //! seconds, no tile forwards.
 //!
 //! Prints the Pareto frontier and writes the frontier rows as
-//! `results/design_space_pareto.csv`. With `--metrics-out` /
-//! `NORA_METRICS_OUT` set, the sweep telemetry (`eval.sweep.points`,
-//! `eval.sweep.point_secs`) lands in the metrics sidecar under the
-//! `design_space` bench marker.
+//! `results/design_space_pareto.csv`. With `NORA_METRICS_OUT` set, the
+//! sweep telemetry (`eval.sweep.points`, `eval.sweep.point_secs`) lands in
+//! the metrics sidecar under the `design_space` bench marker.
 //!
 //! Env knobs (comma-separated lists): `NORA_DS_TILES`, `NORA_DS_DAC_BITS`,
 //! `NORA_DS_ADC_BITS`, `NORA_DS_NOISE_SCALES`, `NORA_DS_LAMBDAS`.
 //! `NORA_FAST=1` switches to the tiny smoke grid.
 
-use nora_bench::harness::export_metrics;
-use nora_bench::{fast_mode, prepare_cached};
+use nora_bench::{
+    env_list, export_metrics, fast_mode, parsed, prepare_cached, write_results, Error,
+};
 use nora_eval::runner::{design_space_recorded, DesignSpaceConfig, DesignSpaceRow};
 use nora_nn::zoo::opt_presets;
 
-fn env_list<T: std::str::FromStr + Clone>(name: &str, default: &[T]) -> Vec<T> {
-    std::env::var(name)
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .collect()
-        })
-        .filter(|v: &Vec<T>| !v.is_empty())
-        .unwrap_or_else(|| default.to_vec())
-}
-
-fn main() {
-    let opt = &opt_presets()[0];
-    let p = prepare_cached(opt);
-
+fn main() -> Result<(), Error> {
     let mut cfg = if fast_mode() {
         DesignSpaceConfig::tiny()
     } else {
         DesignSpaceConfig::default()
     };
-    cfg.tile_sizes = env_list("NORA_DS_TILES", &cfg.tile_sizes);
-    cfg.dac_bits = env_list("NORA_DS_DAC_BITS", &cfg.dac_bits);
-    cfg.adc_bits = env_list("NORA_DS_ADC_BITS", &cfg.adc_bits);
-    cfg.noise_scales = env_list("NORA_DS_NOISE_SCALES", &cfg.noise_scales);
-    cfg.lambdas = env_list("NORA_DS_LAMBDAS", &cfg.lambdas);
+    cfg.tile_sizes = env_list("NORA_DS_TILES", &cfg.tile_sizes, parsed)?;
+    cfg.dac_bits = env_list("NORA_DS_DAC_BITS", &cfg.dac_bits, parsed)?;
+    cfg.adc_bits = env_list("NORA_DS_ADC_BITS", &cfg.adc_bits, parsed)?;
+    cfg.noise_scales = env_list("NORA_DS_NOISE_SCALES", &cfg.noise_scales, parsed)?;
+    cfg.lambdas = env_list("NORA_DS_LAMBDAS", &cfg.lambdas, parsed)?;
 
+    let p = prepare_cached(&opt_presets()[0]);
     let mut metrics = nora_obs::Metrics::new();
     let t0 = std::time::Instant::now();
     let rows = design_space_recorded(&p, &cfg, &mut metrics);
@@ -59,14 +45,6 @@ fn main() {
         frontier.len(),
     );
 
-    let csv_path = std::path::Path::new("results").join("design_space_pareto.csv");
-    if let Some(dir) = csv_path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&csv_path, DesignSpaceRow::csv(&frontier)) {
-        Ok(()) => println!("wrote {}", csv_path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", csv_path.display()),
-    }
-
-    export_metrics("design_space", &metrics);
+    write_results("design_space_pareto.csv", &DesignSpaceRow::csv(&frontier))?;
+    export_metrics("design_space", &metrics)
 }

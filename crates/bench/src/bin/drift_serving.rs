@@ -4,8 +4,8 @@
 //! (α̂ probe recalibration + background spare-tile rotation).
 //!
 //! Prints the per-segment table and writes the raw curves as
-//! `results/drift_serving.csv`. With `--metrics-out`/`NORA_METRICS_OUT`
-//! set, the accuracy/throughput-over-time histograms and the engines'
+//! `results/drift_serving.csv`. With `NORA_METRICS_OUT` set, the
+//! accuracy/throughput-over-time histograms and the engines'
 //! `serve.maint.*` counters land in the metrics sidecar.
 //!
 //! Expected shape: the unmitigated engine decays measurably across the
@@ -18,31 +18,20 @@
 //! (virtual seconds per decode step), `NORA_DRIFT_RATES` (comma-separated
 //! stuck-cell rates). `NORA_FAST=1` shrinks the horizon for smoke runs.
 
-use nora_bench::harness::{export_metrics, metrics_out};
-use nora_bench::{fast_mode, prepare_cached};
+use nora_bench::{
+    env_list, env_scalar, export_metrics, fast_mode, parsed, prepare_cached, write_results, Error,
+};
 use nora_eval::runner::{drift_serving_study_recorded, DriftServingConfig, DriftServingRow};
 use nora_nn::zoo::{opt_presets, other_presets};
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+fn main() -> Result<(), Error> {
+    let mut cfg = DriftServingConfig::default();
+    let default_horizon = if fast_mode() { 2e5 } else { 1e6 };
+    cfg.horizon = env_scalar("NORA_DRIFT_HORIZON", default_horizon, parsed)?;
+    cfg.secs_per_decode_step =
+        env_scalar("NORA_DRIFT_STEP_SECS", cfg.secs_per_decode_step, parsed)?;
+    cfg.cell_rates = env_list("NORA_DRIFT_RATES", &cfg.cell_rates, parsed)?;
 
-fn env_rates(name: &str, default: &[f64]) -> Vec<f64> {
-    std::env::var(name)
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .collect()
-        })
-        .filter(|v: &Vec<f64>| !v.is_empty())
-        .unwrap_or_else(|| default.to_vec())
-}
-
-fn main() {
     let opt = &opt_presets()[2];
     let mistral = &other_presets()[2];
     let prepared = if fast_mode() {
@@ -50,12 +39,6 @@ fn main() {
     } else {
         vec![prepare_cached(opt), prepare_cached(mistral)]
     };
-
-    let mut cfg = DriftServingConfig::default();
-    let default_horizon = if fast_mode() { 2e5 } else { 1e6 };
-    cfg.horizon = env_f64("NORA_DRIFT_HORIZON", default_horizon);
-    cfg.secs_per_decode_step = env_f64("NORA_DRIFT_STEP_SECS", cfg.secs_per_decode_step);
-    cfg.cell_rates = env_rates("NORA_DRIFT_RATES", &cfg.cell_rates);
 
     let mut metrics = nora_obs::Metrics::new();
     let rows = drift_serving_study_recorded(&prepared, &cfg, &mut metrics);
@@ -92,16 +75,6 @@ fn main() {
         }
     }
 
-    let csv_path = std::path::Path::new("results").join("drift_serving.csv");
-    if let Some(dir) = csv_path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&csv_path, DriftServingRow::csv(&rows)) {
-        Ok(()) => println!("wrote {}", csv_path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", csv_path.display()),
-    }
-
-    if metrics_out().is_some() {
-        export_metrics("drift_serving", &metrics);
-    }
+    write_results("drift_serving.csv", &DriftServingRow::csv(&rows))?;
+    export_metrics("drift_serving", &metrics)
 }

@@ -10,11 +10,11 @@
 //! the loss stays within the fault-free noisy baseline's ballpark because
 //! every flagged tile is re-programmed, remapped, or executed digitally.
 
-use nora_bench::prepare_cached;
+use nora_bench::{prepare_cached, write_results, Error};
 use nora_eval::runner::{fault_study, FaultStudyConfig, FaultStudyRow};
 use nora_nn::zoo::{opt_presets, other_presets};
 
-fn main() {
+fn main() -> Result<(), Error> {
     let opt = &opt_presets()[2];
     let mistral = &other_presets()[2];
     let prepared = vec![prepare_cached(opt), prepare_cached(mistral)];
@@ -45,12 +45,5 @@ fn main() {
         );
     }
 
-    let csv_path = std::path::Path::new("results").join("fault_study.csv");
-    if let Some(dir) = csv_path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&csv_path, FaultStudyRow::csv(&rows)) {
-        Ok(()) => println!("wrote {}", csv_path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", csv_path.display()),
-    }
+    write_results("fault_study.csv", &FaultStudyRow::csv(&rows))
 }

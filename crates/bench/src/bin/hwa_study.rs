@@ -15,67 +15,30 @@
 //! Env knobs: `NORA_HWA_STEPS`, `NORA_HWA_LR`, `NORA_HWA_NOISE_SCALE`
 //! (robust fine-tuning stage), `NORA_HWA_MSE_POINTS`, `NORA_HWA_CELL_RATES`
 //! (comma-separated). `NORA_FAST=1` shrinks the model set, the fine-tuning
-//! stage and the grids for smoke runs. With `--metrics-out` /
-//! `NORA_METRICS_OUT` set, the sweep telemetry lands in the metrics sidecar
-//! under the `hwa_study` bench marker.
+//! stage and the grids for smoke runs. With `NORA_METRICS_OUT` set, the
+//! sweep telemetry lands in the metrics sidecar under the `hwa_study` bench
+//! marker.
 
-use nora_bench::harness::export_metrics;
-use nora_bench::{calib_count, episode_count, fast_mode, prepare_cached};
-use nora_eval::runner::{
-    hwa_study_recorded, prepare_built, HwaPair, HwaStudyConfig, HwaStudyRow,
+use nora_bench::{
+    env_list, env_scalar, export_metrics, fast_mode, parsed, prepare_cached, write_results, Error,
 };
+use nora_eval::runner::{hwa_study_recorded, HwaPair, HwaStudyConfig, HwaStudyRow};
 use nora_nn::zoo::{opt_presets, other_presets, robust_variant, RobustSpec, ZooSpec};
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The robust-stage recipe for `spec`: its defaults, overridden by the
+/// `NORA_HWA_*` knobs.
+fn robust_recipe(spec: &ZooSpec) -> Result<RobustSpec, Error> {
+    let default = RobustSpec::default_for(&spec.train);
+    let steps = if fast_mode() { 40 } else { default.steps };
+    let (lr, noise_scale) = (default.lr as f64, default.noise_scale as f64);
+    Ok(RobustSpec {
+        steps: env_scalar("NORA_HWA_STEPS", steps, parsed)?,
+        lr: env_scalar("NORA_HWA_LR", lr, parsed)? as f32,
+        noise_scale: env_scalar("NORA_HWA_NOISE_SCALE", noise_scale, parsed)? as f32,
+    })
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64_list(name: &str, default: &[f64]) -> Vec<f64> {
-    std::env::var(name)
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .collect()
-        })
-        .filter(|v: &Vec<f64>| !v.is_empty())
-        .unwrap_or_else(|| default.to_vec())
-}
-
-fn prepare_pair(spec: &ZooSpec, robust: RobustSpec) -> HwaPair {
-    let base = prepare_cached(spec);
-    let robust_spec = robust_variant(spec, Some(robust));
-    eprintln!(
-        "[nora-bench] preparing {} (STE {} steps) …",
-        robust_spec.name,
-        robust.steps
-    );
-    let t0 = std::time::Instant::now();
-    let zoo = robust_spec.build_cached(&nora_bench::cache_dir());
-    let prepared = prepare_built(zoo, episode_count(), calib_count());
-    eprintln!(
-        "[nora-bench] {} ready in {:.1?} (digital acc {:.2}%)",
-        robust_spec.name,
-        t0.elapsed(),
-        100.0 * prepared.digital_acc
-    );
-    HwaPair {
-        base,
-        robust: prepared,
-    }
-}
-
-fn main() {
+fn main() -> Result<(), Error> {
     let opt = &opt_presets()[2];
     let mistral = &other_presets()[2];
     let specs: Vec<&ZooSpec> = if fast_mode() {
@@ -83,20 +46,10 @@ fn main() {
     } else {
         vec![opt, mistral]
     };
-
-    let pairs: Vec<HwaPair> = specs
+    let recipes: Vec<RobustSpec> = specs
         .iter()
-        .map(|spec| {
-            let default = RobustSpec::default_for(&spec.train);
-            let default_steps = if fast_mode() { 40 } else { default.steps };
-            let robust = RobustSpec {
-                steps: env_u64("NORA_HWA_STEPS", default_steps),
-                lr: env_f64("NORA_HWA_LR", default.lr as f64) as f32,
-                noise_scale: env_f64("NORA_HWA_NOISE_SCALE", default.noise_scale as f64) as f32,
-            };
-            prepare_pair(spec, robust)
-        })
-        .collect();
+        .map(|spec| robust_recipe(spec))
+        .collect::<Result<_, _>>()?;
 
     let mut cfg = HwaStudyConfig::default();
     if fast_mode() {
@@ -104,8 +57,17 @@ fn main() {
         cfg.mse_points = 2;
         cfg.cell_rates = vec![0.02];
     }
-    cfg.mse_points = env_u64("NORA_HWA_MSE_POINTS", cfg.mse_points as u64) as usize;
-    cfg.cell_rates = env_f64_list("NORA_HWA_CELL_RATES", &cfg.cell_rates);
+    cfg.mse_points = env_scalar("NORA_HWA_MSE_POINTS", cfg.mse_points, parsed)?;
+    cfg.cell_rates = env_list("NORA_HWA_CELL_RATES", &cfg.cell_rates, parsed)?;
+
+    let pairs: Vec<HwaPair> = specs
+        .iter()
+        .zip(recipes)
+        .map(|(spec, robust)| HwaPair {
+            base: prepare_cached(spec),
+            robust: prepare_cached(&robust_variant(spec, Some(robust))),
+        })
+        .collect();
 
     let mut metrics = nora_obs::Metrics::new();
     let t0 = std::time::Instant::now();
@@ -137,14 +99,6 @@ fn main() {
         }
     }
 
-    let csv_path = std::path::Path::new("results").join("hwa_study.csv");
-    if let Some(dir) = csv_path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&csv_path, HwaStudyRow::csv(&rows)) {
-        Ok(()) => println!("wrote {}", csv_path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", csv_path.display()),
-    }
-
-    export_metrics("hwa_study", &metrics);
+    write_results("hwa_study.csv", &HwaStudyRow::csv(&rows))?;
+    export_metrics("hwa_study", &metrics)
 }

@@ -16,38 +16,18 @@
 //! `auto` selector row), `NORA_SPARSITY_TOKENS` (timed decode length).
 //! `NORA_FAST=1` shrinks the model set and decode loop for smoke runs.
 
-use nora_bench::{fast_mode, prepare_cached};
+use nora_bench::{env_list, env_scalar, fast_mode, parsed, prepare_cached, write_results, Error};
 use nora_eval::runner::{sparsity_study, SparsityStudyConfig, SparsityStudyRow};
 use nora_nn::zoo::{opt_presets, other_presets};
 use nora_tensor::NmPattern;
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+fn main() -> Result<(), Error> {
+    let mut cfg = SparsityStudyConfig::default();
+    cfg.patterns = env_list("NORA_SPARSITY_PATTERNS", &cfg.patterns, NmPattern::parse)?;
+    cfg.auto_budget = env_scalar("NORA_SPARSITY_BUDGET", cfg.auto_budget, parsed)?;
+    let default_tokens = if fast_mode() { 64 } else { 512 };
+    cfg.decode_tokens = env_scalar("NORA_SPARSITY_TOKENS", default_tokens, parsed)?;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_patterns(name: &str, default: &[NmPattern]) -> Vec<NmPattern> {
-    std::env::var(name)
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|s| NmPattern::parse(s.trim()))
-                .collect()
-        })
-        .filter(|v: &Vec<NmPattern>| !v.is_empty())
-        .unwrap_or_else(|| default.to_vec())
-}
-
-fn main() {
     let opt = &opt_presets()[2];
     let mistral = &other_presets()[2];
     let prepared = if fast_mode() {
@@ -55,12 +35,6 @@ fn main() {
     } else {
         vec![prepare_cached(opt), prepare_cached(mistral)]
     };
-
-    let mut cfg = SparsityStudyConfig::default();
-    cfg.patterns = env_patterns("NORA_SPARSITY_PATTERNS", &cfg.patterns);
-    cfg.auto_budget = env_f64("NORA_SPARSITY_BUDGET", cfg.auto_budget);
-    let default_tokens = if fast_mode() { 64 } else { 512 };
-    cfg.decode_tokens = env_usize("NORA_SPARSITY_TOKENS", default_tokens);
 
     let mut rows = Vec::new();
     for p in &prepared {
@@ -88,12 +62,5 @@ fn main() {
         }
     }
 
-    let csv_path = std::path::Path::new("results").join("sparsity_study.csv");
-    if let Some(dir) = csv_path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&csv_path, SparsityStudyRow::csv(&rows)) {
-        Ok(()) => println!("wrote {}", csv_path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", csv_path.display()),
-    }
+    write_results("sparsity_study.csv", &SparsityStudyRow::csv(&rows))
 }

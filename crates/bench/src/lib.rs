@@ -35,8 +35,13 @@
 //! | `sparsity_study` | N:M pruning: accuracy vs pattern vs decode throughput |
 //! | `hwa_study` | straight-through hardware-aware training × NORA |
 //!
-//! Every bin has a `bench = false` entry in `Cargo.toml`, so `cargo bench
-//! -p nora-bench -- --metrics-out <path>` runs only the `benches/` targets.
+//! The bins share their wiring through this crate. [`env_scalar`] and
+//! [`env_list`] read the `NORA_*` knobs: unset or empty keeps the default,
+//! and an item that does not parse stops the bin before any work.
+//! [`write_results`] writes `results/<file>` and [`export_metrics`] appends
+//! the metrics sidecar named by `NORA_METRICS_OUT`. A bin's `main` returns
+//! their [`Error`], so a bad knob or a failed write exits non-zero with a
+//! message naming the variable and item, or the path.
 //!
 //! Trained models are cached under `NORA_CACHE_DIR` (default
 //! `target/nora-model-cache`), so only the first run of a binary pays the
@@ -46,11 +51,31 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod harness;
-
 use nora_eval::runner::{prepare_built, PreparedModel};
 use nora_nn::zoo::ZooSpec;
-use std::path::PathBuf;
+use std::fmt;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
+
+/// Why a study bin stopped: a knob item that does not parse, or an output
+/// file that could not be written. The message names the variable and the
+/// item, or the path.
+pub struct Error(String);
+
+impl fmt::Display for Error {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+// A `main` that returns `Err` prints the `Debug` form, so it is the message.
+impl fmt::Debug for Error {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for Error {}
 
 /// Directory used for the trained-model cache.
 pub fn cache_dir() -> PathBuf {
@@ -61,7 +86,9 @@ pub fn cache_dir() -> PathBuf {
 
 /// Whether fast (smoke-test) mode is requested via `NORA_FAST=1`.
 pub fn fast_mode() -> bool {
-    std::env::var("NORA_FAST").map(|v| v == "1").unwrap_or(false)
+    std::env::var("NORA_FAST")
+        .map(|v| v == "1")
+        .unwrap_or(false)
 }
 
 /// Number of held-out evaluation episodes (shrunk in fast mode).
@@ -98,9 +125,118 @@ pub fn prepare_cached(spec: &ZooSpec) -> PreparedModel {
     prepared
 }
 
+/// Parses `raw`, the value of knob `var`, as comma-separated items, each
+/// trimmed and passed to `parse`. An empty value gives `None`.
+fn parse_knob<T>(
+    var: &str,
+    raw: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<Vec<T>>, Error> {
+    if raw.trim().is_empty() {
+        return Ok(None);
+    }
+    raw.split(',')
+        .map(|item| {
+            let item = item.trim();
+            parse(item).ok_or_else(|| Error(format!("{var}: cannot parse {item:?}")))
+        })
+        .collect::<Result<_, _>>()
+        .map(Some)
+}
+
+/// The value of knob `var`; unset reads as empty.
+fn knob(var: &str) -> Result<String, Error> {
+    match std::env::var(var) {
+        Err(std::env::VarError::NotPresent) => Ok(String::new()),
+        value => value.map_err(|_| Error(format!("{var}: value is not UTF-8"))),
+    }
+}
+
+/// [`str::parse`] as an `Option`: the `parse` argument of [`env_list`] and
+/// [`env_scalar`] for number knobs.
+pub fn parsed<T: std::str::FromStr>(item: &str) -> Option<T> {
+    item.parse().ok()
+}
+
+/// Reads the comma-separated list knob `var`, each item parsed with
+/// `parse`. Unset or empty keeps `default`.
+pub fn env_list<T: Clone>(
+    var: &str,
+    default: &[T],
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Vec<T>, Error> {
+    Ok(parse_knob(var, &knob(var)?, parse)?.unwrap_or_else(|| default.to_vec()))
+}
+
+/// Reads the one-value knob `var` with `parse`. Unset or empty keeps
+/// `default`; a list is an error.
+pub fn env_scalar<T>(var: &str, default: T, parse: impl Fn(&str) -> Option<T>) -> Result<T, Error> {
+    let raw = knob(var)?;
+    match parse_knob(var, &raw, parse)? {
+        None => Ok(default),
+        Some(mut items) if items.len() == 1 => Ok(items.remove(0)),
+        Some(_) => Err(Error(format!("{var}: expected one value, got {raw:?}"))),
+    }
+}
+
+/// Writes `contents` to `results/<file>` under the working directory,
+/// creating `results/` if needed, and prints the path.
+pub fn write_results(file: &str, contents: &str) -> Result<(), Error> {
+    let path = Path::new("results").join(file);
+    write_file(&path, contents)?;
+    println!("wrote {}", path.display());
+    Ok(())
+}
+
+fn write_file(path: &Path, contents: &str) -> Result<(), Error> {
+    path.parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, contents))
+        .map_err(|e| Error(format!("failed to write {}: {e}", path.display())))
+}
+
+/// Appends `metrics` to the sidecar named by `NORA_METRICS_OUT`, after a
+/// `{"type":"bench","name":<bin>,"threads":...}` marker line, so the
+/// records of several bins or thread counts can share one file. `bin` is
+/// the bin's own name. Does nothing when the variable is unset or empty.
+pub fn export_metrics(bin: &str, metrics: &nora_obs::Metrics) -> Result<(), Error> {
+    match std::env::var_os("NORA_METRICS_OUT").filter(|p| !p.is_empty()) {
+        Some(path) => append_metrics(Path::new(&path), bin, metrics),
+        None => Ok(()),
+    }
+}
+
+fn append_metrics(path: &Path, bin: &str, metrics: &nora_obs::Metrics) -> Result<(), Error> {
+    let append = || -> io::Result<()> {
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)?;
+        let mut out = io::BufWriter::new(file);
+        writeln!(
+            out,
+            "{{\"type\":\"bench\",\"name\":\"{bin}\",\"threads\":{}}}",
+            nora_parallel::max_threads()
+        )?;
+        let mut rec = nora_obs::JsonLinesRecorder::new(&mut out);
+        metrics.emit(&mut rec);
+        if let (_, Some(e)) = rec.into_inner() {
+            return Err(e);
+        }
+        out.flush()
+    };
+    append().map_err(|e| {
+        Error(format!(
+            "failed to append metrics to {}: {e}",
+            path.display()
+        ))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nora_tensor::NmPattern;
 
     #[test]
     fn cache_dir_defaults_under_target() {
@@ -113,5 +249,85 @@ mod tests {
     fn counts_are_positive() {
         assert!(episode_count() > 0);
         assert!(calib_count() > 0);
+    }
+
+    #[test]
+    fn knob_parses_every_item_of_a_list() {
+        assert_eq!(
+            parse_knob("V", "64, 32,8", parsed::<u32>).unwrap(),
+            Some(vec![64, 32, 8])
+        );
+        assert_eq!(parse_knob("V", "7", parsed::<u32>).unwrap(), Some(vec![7]));
+        let patterns = parse_knob("V", "2:4,dense", NmPattern::parse).unwrap();
+        assert_eq!(patterns, Some(vec![NmPattern::N2M4, NmPattern::Dense]));
+    }
+
+    #[test]
+    fn knob_rejects_one_bad_item_by_name() {
+        let err = parse_knob("NORA_DS_TILES", "64,12x8", parsed::<u32>).unwrap_err();
+        assert_eq!(err.to_string(), r#"NORA_DS_TILES: cannot parse "12x8""#);
+        let err = parse_knob("NORA_DS_TILES", "64,,32", parsed::<u32>).unwrap_err();
+        assert_eq!(err.to_string(), r#"NORA_DS_TILES: cannot parse """#);
+        assert!(parse_knob("V", "bogus", parsed::<u32>).is_err());
+    }
+
+    #[test]
+    fn empty_knob_keeps_the_default() {
+        assert_eq!(parse_knob("V", "", parsed::<u32>).unwrap(), None);
+        assert_eq!(parse_knob("V", "  ", parsed::<u32>).unwrap(), None);
+    }
+
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("nora_bench_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn failed_writes_name_the_path() {
+        let dir = scratch_dir("write");
+        let blocker = dir.join("results");
+        std::fs::write(&blocker, "a regular file").unwrap();
+        let csv = blocker.join("study.csv");
+        let err = write_file(&csv, "a,b\n").unwrap_err().to_string();
+        assert!(
+            err.starts_with(&format!("failed to write {}: ", csv.display())),
+            "{err}"
+        );
+        let err = append_metrics(&csv, "study", &nora_obs::Metrics::new())
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.starts_with(&format!("failed to append metrics to {}: ", csv.display())),
+            "{err}"
+        );
+        write_file(&dir.join("fresh").join("study.csv"), "a,b\n").unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn metrics_sidecar_appends_marker_and_records() {
+        let dir = scratch_dir("metrics");
+        let path = dir.join("metrics.jsonl");
+        let mut m = nora_obs::Metrics::new();
+        m.add("probe.counter", 3);
+        m.observe("probe.rate", nora_obs::edges::RATE, 0.02);
+        append_metrics(&path, "probe_bench", &m).unwrap();
+        append_metrics(&path, "probe_bench", &m).unwrap();
+        let text = std::fs::read_to_string(&path).expect("sidecar written");
+        let _ = std::fs::remove_dir_all(&dir);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 6, "{text}");
+        let marker = format!(
+            "{{\"type\":\"bench\",\"name\":\"probe_bench\",\"threads\":{}}}",
+            nora_parallel::max_threads()
+        );
+        assert_eq!(lines[0], marker);
+        assert_eq!(lines[3], marker);
+        assert!(text.contains("\"name\":\"probe.counter\""));
+        assert!(text.contains("\"value\":3"));
+        assert!(text.contains("\"type\":\"histogram\""));
+        assert!(text.contains("\"name\":\"probe.rate\""));
     }
 }

@@ -5,8 +5,7 @@
 //! request's tokens relative to decoding it alone. This module builds
 //! corpus-derived workloads, serves them through a
 //! [`nora_serve::GenerationEngine`], and scores exactly that property,
-//! alongside the aggregate throughput numbers the `serving_throughput`
-//! bench reports.
+//! alongside the aggregate throughput accounting.
 
 use nora_nn::corpus::Corpus;
 use nora_nn::deploy::AnalogTransformerLm;
@@ -53,11 +52,10 @@ impl ServingWorkload {
     }
 
     /// Derives `n` requests mixing tenants, priorities, deadlines, and
-    /// generation lengths — the admission-frontend stress shape used by the
-    /// `serve_analog_mixed_*` benches. Request `i` belongs to tenant
-    /// `i % tenants`, asks for `lengths[i % lengths.len()]` tokens at
-    /// priority `i % 3`, carries a deadline hint on every fifth request,
-    /// and samples with seed `i`. Fully deterministic: the same corpus
+    /// generation lengths — an admission-frontend stress shape. Request `i`
+    /// belongs to tenant `i % tenants`, asks for `lengths[i % lengths.len()]`
+    /// tokens at priority `i % 3`, carries a deadline hint on every fifth
+    /// request, and samples with seed `i`. Fully deterministic: the same corpus
     /// state and arguments always build the same workload.
     ///
     /// # Panics

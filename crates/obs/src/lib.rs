@@ -419,7 +419,7 @@ fn join_u64(values: &[u64]) -> String {
 }
 
 /// Streams events as JSON-lines records (one JSON object per line), the
-/// same envelope style as the bench harness's `NORA_BENCH_JSON` files.
+/// format of the study bins' `NORA_METRICS_OUT` sidecars.
 #[derive(Debug)]
 pub struct JsonLinesRecorder<W: Write> {
     out: W,

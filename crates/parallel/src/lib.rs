@@ -106,8 +106,9 @@ pub fn max_threads() -> usize {
 /// the pool costs more than it saves.
 ///
 /// Bench-backed: at `NORA_THREADS=4` the latch handshake plus cross-core
-/// cache traffic added ~35% to `tile_forward_averaged/16` (3.60ms → 4.97ms
-/// in BENCH_pr6.json) whose per-dispatch work sits well under this line,
+/// cache traffic added ~35% to an 8-row 512×512 tile forward with 16-fold
+/// read averaging (3.60ms at 1 thread → 4.97ms, measured before this
+/// cutoff existed), whose per-dispatch work sits well under this line,
 /// while the serving-round fan-outs (hundreds of thousands of flops per
 /// slot) amortize it easily. The same cutoff already governs
 /// `Matrix::try_matmul`'s row-chunk dispatch.

@@ -94,8 +94,8 @@ impl NmPattern {
         self.n() as f64 / self.m() as f64
     }
 
-    /// Canonical label (`dense`, `4:8`, `2:4`, `1:4`) — used in CSVs,
-    /// bench names, and the `NORA_SPARSITY_PATTERNS` knob.
+    /// Canonical label (`dense`, `4:8`, `2:4`, `1:4`) — used in CSVs and
+    /// the `NORA_SPARSITY_PATTERNS` knob.
     pub fn label(self) -> &'static str {
         match self {
             NmPattern::Dense => "dense",

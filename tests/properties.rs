@@ -55,6 +55,37 @@ fn quantizer_is_monotone() {
 }
 
 #[test]
+fn slice_quantizers_match_the_scalar_path() {
+    use nora::tensor::quant::Rounding;
+    for_cases(0x1f, |rng| {
+        let bits = gen_range_u(rng, 2, 10) as u32;
+        let n = gen_range_u(rng, 1, 64);
+        let xs: Vec<f32> = (0..n).map(|_| rng.uniform(-1.5, 1.5)).collect();
+        let seed = rng.next_u64();
+
+        let q = Quantizer::with_bits(bits, 1.0);
+        let mut nearest = xs.clone();
+        q.quantize_slice_with(&mut nearest, &mut Rng::seed_from(seed));
+        let mut plain = xs.clone();
+        q.quantize_slice(&mut plain);
+        assert_eq!(nearest, plain);
+
+        // Stochastic rounding draws once per element, in order, so the slice
+        // equals the scalar path bit for bit, and each output is one of the
+        // two grid levels around its clipped input.
+        let q = q.with_rounding(Rounding::Stochastic);
+        let mut sliced = xs.clone();
+        q.quantize_slice_with(&mut sliced, &mut Rng::seed_from(seed));
+        let mut scalar_rng = Rng::seed_from(seed);
+        for (&x, &y) in xs.iter().zip(&sliced) {
+            assert_eq!(y, q.quantize_with(x, &mut scalar_rng));
+            let level_gap = (y - x.clamp(-1.0, 1.0)).abs();
+            assert!(level_gap <= q.step() + 1e-6, "{x} -> {y}");
+        }
+    });
+}
+
+#[test]
 fn smoothing_factors_positive_finite_and_monotone_in_activation() {
     for_cases(0x13, |rng| {
         let lambda = rng.uniform(0.0, 1.0);
