@@ -10,6 +10,11 @@ use nora_tensor::Matrix;
 /// Stream tag for re-programming rng derivation ("RP").
 const REPROGRAM_STREAM: u64 = 0x5250_0000;
 
+/// One layer of [`AnalogLinear::try_with_smoothing_batch`]: its weights,
+/// bias, smoothing and seed, as [`AnalogLinear::try_with_smoothing`] takes
+/// them.
+type LayerInputs<'a> = (Matrix, Option<Vec<f32>>, Option<&'a [f32]>, u64);
+
 /// Deferred side effect of one tile forward on the **keyed** (stateless)
 /// decode path: the statistics delta and any ABFT flag the tile would have
 /// applied to itself on the sequential path. Collected per caller during a
@@ -317,6 +322,24 @@ impl AnalogLinear {
         })
     }
 
+    /// Programs several layers on one `config`: each `(weights, bias,
+    /// smoothing, seed)` goes through [`AnalogLinear::try_with_smoothing`],
+    /// and the results come back in input order.
+    ///
+    /// The layers fan out across the worker pool. Every result is
+    /// bit-identical to programming the layers one by one, at any thread
+    /// count: a layer draws only from the generators its own `seed` forks,
+    /// and keeps its own spares, events and health. Called inside a
+    /// parallel section, the batch runs serially.
+    pub fn try_with_smoothing_batch(
+        layers: Vec<LayerInputs<'_>>,
+        config: &TileConfig,
+    ) -> Vec<Result<Self, CimError>> {
+        nora_parallel::map_vec(layers, |(weights, bias, smoothing, seed)| {
+            Self::try_with_smoothing(weights, bias, smoothing, config.clone(), seed)
+        })
+    }
+
     /// Input dimension.
     pub fn d_in(&self) -> usize {
         self.d_in
@@ -495,8 +518,7 @@ impl AnalogLinear {
                         noise_seed,
                         position,
                     ];
-                    let (stats, report) =
-                        tile.forward_row_keyed(xin, part, &key, &mut ctx.tile);
+                    let (stats, report) = tile.forward_row_keyed(xin, part, &key, &mut ctx.tile);
                     effects.push(TileEffect {
                         entry: idx,
                         stats,
@@ -676,7 +698,10 @@ impl AnalogLinear {
         self.stats().export_metrics(m);
         crate::health::export_events(&self.events, m);
         crate::health::export_health(&self.tile_health(), m);
-        m.add("cim.health.digital_fallback_slots", self.digital_fallback_count() as u64);
+        m.add(
+            "cim.health.digital_fallback_slots",
+            self.digital_fallback_count() as u64,
+        );
         m.add("cim.health.spares_used", u64::from(self.spares_used));
     }
 
@@ -1062,6 +1087,42 @@ mod tests {
         let w = Matrix::zeros(100, 50);
         let layer = AnalogLinear::new(w, None, TileConfig::ideal(), 0);
         assert_eq!(layer.tile_count(), 1);
+    }
+
+    #[test]
+    fn batch_programs_each_layer_as_alone_in_input_order() {
+        let mut rng = Rng::seed_from(40);
+        let w: Vec<Matrix> = (0..3)
+            .map(|_| Matrix::random_normal(48, 40, 0.0, 0.3, &mut rng))
+            .collect();
+        let x = Matrix::random_normal(4, 48, 0.0, 1.0, &mut rng);
+        let s: Vec<f32> = (0..48).map(|i| 0.5 + (i % 3) as f32).collect();
+        let cfg = TileConfig::paper_default().with_tile_size(32, 32);
+        // Layer 1's bias has the wrong length; the others program.
+        let items = || {
+            vec![
+                (w[0].clone(), None, Some(&s[..]), 41),
+                (w[1].clone(), Some(vec![0.0; 39]), None, 42),
+                (w[2].clone(), Some(vec![0.5; 40]), None, 43),
+            ]
+        };
+        let alone: Vec<_> = items()
+            .into_iter()
+            .map(|(w, b, s, seed)| AnalogLinear::try_with_smoothing(w, b, s, cfg.clone(), seed))
+            .collect();
+        let batch = nora_parallel::with_threads(4, || {
+            AnalogLinear::try_with_smoothing_batch(items(), &cfg)
+        });
+        assert_eq!(batch.len(), 3);
+        for (i, pair) in alone.into_iter().zip(batch).enumerate() {
+            match pair {
+                (Ok(mut a), Ok(mut b)) => {
+                    assert_eq!(a.forward(&x), b.forward(&x), "layer {i}");
+                    assert_eq!(a.stats(), b.stats(), "layer {i}");
+                }
+                (a, b) => assert_eq!(a.err(), b.err(), "layer {i}"),
+            }
+        }
     }
 
     #[test]

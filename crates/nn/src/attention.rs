@@ -47,11 +47,26 @@ impl MultiHeadAttention {
     /// Panics if `heads` does not divide `d`.
     pub fn new(d: usize, heads: usize, rng: &mut Rng) -> Self {
         assert!(heads > 0 && d.is_multiple_of(heads), "heads must divide d");
+        Self::from_projections(
+            [
+                DigitalLinear::new(d, d, rng),
+                DigitalLinear::new(d, d, rng),
+                DigitalLinear::new(d, d, rng),
+                DigitalLinear::new(d, d, rng),
+            ],
+            heads,
+        )
+    }
+
+    /// Assembles the attention from its `[q, k, v, out]` projections (each
+    /// `d × d`, with `heads` dividing `d`).
+    pub(crate) fn from_projections(projections: [DigitalLinear; 4], heads: usize) -> Self {
+        let [wq, wk, wv, wo] = projections;
         Self {
-            wq: DigitalLinear::new(d, d, rng),
-            wk: DigitalLinear::new(d, d, rng),
-            wv: DigitalLinear::new(d, d, rng),
-            wo: DigitalLinear::new(d, d, rng),
+            wq,
+            wk,
+            wv,
+            wo,
             heads,
             cache: None,
         }

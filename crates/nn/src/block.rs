@@ -58,12 +58,29 @@ impl TransformerBlock {
     /// Creates a block with model dim `d`, `heads` heads, and FFN width
     /// `d_ff`.
     pub fn new(d: usize, heads: usize, d_ff: usize, rng: &mut Rng) -> Self {
+        Self::from_parts(
+            LayerNorm::new(d),
+            MultiHeadAttention::new(d, heads, rng),
+            LayerNorm::new(d),
+            DigitalLinear::new(d, d_ff, rng),
+            DigitalLinear::new(d_ff, d, rng),
+        )
+    }
+
+    /// Assembles a block from its layers, in forward order.
+    pub(crate) fn from_parts(
+        ln1: LayerNorm,
+        attn: MultiHeadAttention,
+        ln2: LayerNorm,
+        fc1: DigitalLinear,
+        fc2: DigitalLinear,
+    ) -> Self {
         Self {
-            ln1: LayerNorm::new(d),
-            attn: MultiHeadAttention::new(d, heads, rng),
-            ln2: LayerNorm::new(d),
-            fc1: DigitalLinear::new(d, d_ff, rng),
-            fc2: DigitalLinear::new(d_ff, d, rng),
+            ln1,
+            attn,
+            ln2,
+            fc1,
+            fc2,
             cache: None,
         }
     }

@@ -109,11 +109,14 @@ impl AnalogTransformerLm {
         }
     }
 
-    /// Shared deployment loop. In lenient mode (`strict = false`), a layer
-    /// whose physical tiles cannot be programmed degrades to the digital
-    /// path with the failure recorded; *configuration* errors (invalid tile
-    /// config, mismatched smoothing, empty weights) still surface, because
-    /// they indicate caller bugs rather than hardware faults.
+    /// Shared deployment loop. Every selected linear is programmed in one
+    /// [`AnalogLinear::try_with_smoothing_batch`] (whole layers in parallel,
+    /// each on its own layer seed), and the results are taken in id order.
+    /// In lenient mode (`strict = false`), a layer whose physical tiles
+    /// cannot be programmed degrades to the digital path with the failure
+    /// recorded; *configuration* errors (invalid tile config, mismatched
+    /// smoothing, empty weights) still surface, because they indicate
+    /// caller bugs rather than hardware faults.
     fn deploy(
         model: &TransformerLm,
         config: TileConfig,
@@ -122,24 +125,24 @@ impl AnalogTransformerLm {
         filter: impl Fn(LinearId) -> bool,
         strict: bool,
     ) -> Result<Self, CimError> {
+        let mut ids = model.linear_ids();
+        ids.retain(|&id| filter(id));
+        let layers = ids
+            .iter()
+            .map(|&id| {
+                let lin = model.linear(id);
+                let weights = lin.weight.value.clone();
+                let bias = lin.bias.value.row(0).to_vec();
+                let s = smoothing.get(&id).map(|v| v.as_slice());
+                let layer_seed = seed ^ ((id.block as u64 + 1) << 20) ^ ((id.kind as u64 + 1) << 8);
+                (weights, Some(bias), s, layer_seed)
+            })
+            .collect();
+        let programmed = AnalogLinear::try_with_smoothing_batch(layers, &config);
         let mut analog = HashMap::new();
         let mut degraded = Vec::new();
-        for id in model.linear_ids() {
-            if !filter(id) {
-                continue;
-            }
-            let lin = model.linear(id);
-            let weights = lin.weight.value.clone();
-            let bias = lin.bias.value.row(0).to_vec();
-            let s = smoothing.get(&id).map(|v| v.as_slice());
-            let layer_seed = seed ^ ((id.block as u64 + 1) << 20) ^ ((id.kind as u64 + 1) << 8);
-            match AnalogLinear::try_with_smoothing(
-                weights,
-                Some(bias),
-                s,
-                config.clone(),
-                layer_seed,
-            ) {
+        for (id, result) in ids.into_iter().zip(programmed) {
+            match result {
                 Ok(layer) => {
                     analog.insert(id, layer);
                 }

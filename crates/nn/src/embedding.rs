@@ -20,9 +20,17 @@ pub struct Embedding {
 impl Embedding {
     /// Creates tables with small normal init.
     pub fn new(vocab: usize, max_seq: usize, d: usize, rng: &mut Rng) -> Self {
+        Self::from_values(
+            Matrix::random_normal(vocab, d, 0.0, 0.02, rng),
+            Matrix::random_normal(max_seq, d, 0.0, 0.02, rng),
+        )
+    }
+
+    /// Wraps given tables: tokens `(vocab × d)`, positions `(max_seq × d)`.
+    pub(crate) fn from_values(tokens: Matrix, positions: Matrix) -> Self {
         Self {
-            tokens: Param::new(Matrix::random_normal(vocab, d, 0.0, 0.02, rng)),
-            positions: Param::new(Matrix::random_normal(max_seq, d, 0.0, 0.02, rng)),
+            tokens: Param::new(tokens),
+            positions: Param::new(positions),
             last_tokens: Vec::new(),
         }
     }

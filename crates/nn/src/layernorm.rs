@@ -23,9 +23,14 @@ pub struct LayerNorm {
 impl LayerNorm {
     /// Creates a layer norm over `d` channels (γ = 1, β = 0).
     pub fn new(d: usize) -> Self {
+        Self::from_values(Matrix::full(1, d, 1.0), Matrix::zeros(1, d))
+    }
+
+    /// Wraps a given gain and bias, each `(1 × d)`.
+    pub(crate) fn from_values(gain: Matrix, bias: Matrix) -> Self {
         Self {
-            gain: Param::new(Matrix::full(1, d, 1.0)),
-            bias: Param::new(Matrix::zeros(1, d)),
+            gain: Param::new(gain),
+            bias: Param::new(bias),
             eps: 1e-5,
             cache: None,
         }
@@ -128,8 +133,7 @@ impl LayerNorm {
             let dxr = dx.row_mut(i);
             for k in 0..d {
                 let dyh = dyr[k] * g[k];
-                dxr[k] = istd / d as f32
-                    * (d as f32 * dyh - sum_dyh - xhr[k] * sum_dyh_xh);
+                dxr[k] = istd / d as f32 * (d as f32 * dyh - sum_dyh - xhr[k] * sum_dyh_xh);
             }
         }
         dx

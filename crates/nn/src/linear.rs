@@ -40,9 +40,17 @@ impl DigitalLinear {
     /// Creates a layer with scaled-normal init (`std = 1/sqrt(d_in)`).
     pub fn new(d_in: usize, d_out: usize, rng: &mut Rng) -> Self {
         let std = 1.0 / (d_in as f32).sqrt();
+        Self::from_values(
+            Matrix::random_normal(d_in, d_out, 0.0, std, rng),
+            Matrix::zeros(1, d_out),
+        )
+    }
+
+    /// Wraps a given weight `(d_in × d_out)` and bias `(1 × d_out)`.
+    pub(crate) fn from_values(weight: Matrix, bias: Matrix) -> Self {
         Self {
-            weight: Param::new(Matrix::random_normal(d_in, d_out, 0.0, std, rng)),
-            bias: Param::new(Matrix::zeros(1, d_out)),
+            weight: Param::new(weight),
+            bias: Param::new(bias),
             sparse: None,
             ste: None,
         }

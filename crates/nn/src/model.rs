@@ -1,5 +1,6 @@
 //! The decoder-only transformer language model.
 
+use crate::attention::MultiHeadAttention;
 use crate::block::{Attend, TransformerBlock};
 use crate::embedding::Embedding;
 use crate::layernorm::LayerNorm;
@@ -371,6 +372,59 @@ impl TransformerLm {
             config,
             last_embed: None,
         }
+    }
+
+    /// Assembles a model from given parameter values, drawing no random
+    /// number: `next(rows, cols)` yields each value in
+    /// [`TransformerLm::params`] order, given the shape `config` implies
+    /// for it, and its first error ends the assembly. The checkpoint loader
+    /// streams a file's tensors through it.
+    ///
+    /// `config` must be valid ([`ModelConfig::validate`]).
+    pub(crate) fn from_values<E>(
+        config: ModelConfig,
+        mut next: impl FnMut(usize, usize) -> Result<Matrix, E>,
+    ) -> Result<Self, E> {
+        let ModelConfig {
+            vocab,
+            max_seq,
+            d_model: d,
+            heads,
+            d_ff,
+            layers,
+        } = config;
+        let embedding = Embedding::from_values(next(vocab, d)?, next(max_seq, d)?);
+        // Every other parameter is a `rows × cols` value and its `1 × cols`
+        // bias.
+        let mut pair =
+            |rows, cols| -> Result<(Matrix, Matrix), E> { Ok((next(rows, cols)?, next(1, cols)?)) };
+        let ln = |(gain, bias)| LayerNorm::from_values(gain, bias);
+        let linear = |(weight, bias)| DigitalLinear::from_values(weight, bias);
+        // Grown block by block: `layers` comes from the file, so nothing is
+        // reserved for it before its tensors arrive.
+        let mut blocks = Vec::new();
+        for _ in 0..layers {
+            let ln1 = ln(pair(1, d)?);
+            let projections = [
+                linear(pair(d, d)?),
+                linear(pair(d, d)?),
+                linear(pair(d, d)?),
+                linear(pair(d, d)?),
+            ];
+            let attn = MultiHeadAttention::from_projections(projections, heads);
+            let ln2 = ln(pair(1, d)?);
+            let fc1 = linear(pair(d, d_ff)?);
+            let fc2 = linear(pair(d_ff, d)?);
+            blocks.push(TransformerBlock::from_parts(ln1, attn, ln2, fc1, fc2));
+        }
+        Ok(Self {
+            embedding,
+            blocks,
+            final_ln: ln(pair(1, d)?),
+            head: linear(pair(d, vocab)?),
+            config,
+            last_embed: None,
+        })
     }
 
     /// Hyper-parameters.

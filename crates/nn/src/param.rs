@@ -14,8 +14,11 @@ pub struct Param {
     pub value: Matrix,
     /// Accumulated gradient (same shape as `value`).
     pub grad: Matrix,
-    m: Matrix,
-    v: Matrix,
+    /// Adam's first and second moments, allocated zeroed by the first
+    /// [`Param::adam_step`]: a model that is only loaded, evaluated or
+    /// deployed never trains, so it (and every clone of it) carries
+    /// `value` and `grad` alone.
+    moments: Option<(Matrix, Matrix)>,
 }
 
 impl Param {
@@ -25,8 +28,7 @@ impl Param {
         Self {
             value,
             grad: Matrix::zeros(r, c),
-            m: Matrix::zeros(r, c),
-            v: Matrix::zeros(r, c),
+            moments: None,
         }
     }
 
@@ -63,10 +65,14 @@ impl Param {
         assert!(lr > 0.0, "learning rate must be positive");
         let bc1 = 1.0 - beta1.powi(t.min(1_000_000) as i32);
         let bc2 = 1.0 - beta2.powi(t.min(1_000_000) as i32);
+        let (r, c) = self.value.shape();
+        let (m, v) = self
+            .moments
+            .get_or_insert_with(|| (Matrix::zeros(r, c), Matrix::zeros(r, c)));
         let value = self.value.as_mut_slice();
         let grad = self.grad.as_slice();
-        let m = self.m.as_mut_slice();
-        let v = self.v.as_mut_slice();
+        let m = m.as_mut_slice();
+        let v = v.as_mut_slice();
         for i in 0..value.len() {
             let g = grad[i];
             m[i] = beta1 * m[i] + (1.0 - beta1) * g;
@@ -100,7 +106,11 @@ mod tests {
             p.grad[(0, 0)] = 2.0 * (w - 3.0);
             p.adam_step(0.05, 0.9, 0.999, 1e-8, t);
         }
-        assert!((p.value[(0, 0)] - 3.0).abs() < 0.05, "w {}", p.value[(0, 0)]);
+        assert!(
+            (p.value[(0, 0)] - 3.0).abs() < 0.05,
+            "w {}",
+            p.value[(0, 0)]
+        );
     }
 
     #[test]

@@ -24,8 +24,7 @@ fn zoo_builds_are_bit_reproducible() {
 fn full_experiment_row_is_reproducible() {
     let run = || {
         let mut zoo = tiny_spec(ModelFamily::MistralLike, 405).build();
-        let calib_seqs: Vec<Vec<usize>> =
-            (0..4).map(|_| zoo.corpus.episode().tokens).collect();
+        let calib_seqs: Vec<Vec<usize>> = (0..4).map(|_| zoo.corpus.episode().tokens).collect();
         let episodes = zoo.corpus.episodes(40);
         let calibration = calibrate(&zoo.model, &calib_seqs);
         let plan = RescalePlan::nora(&zoo.model, &calibration, SmoothingConfig::default());
@@ -56,8 +55,7 @@ fn different_deployment_seeds_give_different_noise() {
     let mut zoo = tiny_spec(ModelFamily::OptLike, 406).build();
     let episodes = zoo.corpus.episodes(40);
     let acc = |seed: u64| {
-        let mut analog =
-            RescalePlan::naive().deploy(&zoo.model, TileConfig::paper_default(), seed);
+        let mut analog = RescalePlan::naive().deploy(&zoo.model, TileConfig::paper_default(), seed);
         // Collect raw logits of one episode, which are noise-dependent.
         analog.forward(&episodes[0].tokens)
     };
@@ -146,6 +144,128 @@ fn model_logits_bit_identical_across_thread_counts() {
     let serial = run(1);
     for threads in [2, 4, 8] {
         assert_eq!(serial, run(threads), "threads={threads}");
+    }
+}
+
+/// Deployment programs whole layers at once through
+/// `AnalogLinear::try_with_smoothing_batch`, fanned across the pool. Each
+/// layer draws only from its own layer seed and keeps its own spares,
+/// events and health, and results merge in id order, so everything a
+/// deployment exports, and the first error of a strict deploy, must be the
+/// same at any thread count: for a NORA deployment, a protected one that
+/// remaps, a lenient one that degrades layers, and `try_new` on it.
+#[test]
+fn deployment_fan_out_identical_across_thread_counts() {
+    use nora::cim::CimError;
+    use nora::nn::deploy::AnalogTransformerLm;
+    use nora::nn::{LinearId, LinearKind, ModelConfig, TransformerLm};
+    let config = ModelConfig {
+        vocab: 16,
+        max_seq: 16,
+        d_model: 32,
+        heads: 2,
+        d_ff: 64,
+        layers: 2,
+    };
+    let model = TransformerLm::new(config, &mut Rng::seed_from(530));
+    let mut rng = Rng::seed_from(531);
+    let calib: Vec<Vec<usize>> = (0..4)
+        .map(|_| (0..12).map(|_| rng.below(16)).collect())
+        .collect();
+    let plan = RescalePlan::nora(
+        &model,
+        &calibrate(&model, &calib),
+        SmoothingConfig::default(),
+    );
+    let tokens = [1usize, 4, 2, 9, 3];
+    let observe = |threads: usize, cfg: &TileConfig| {
+        with_threads(threads, || {
+            let mut analog =
+                AnalogTransformerLm::new(&model, cfg.clone(), plan.smoothing_map(), 532);
+            (
+                analog.forward(&tokens),
+                analog.fault_events(),
+                analog.tile_health(),
+                analog.spares_used(),
+                analog.digital_fallback_count(),
+                analog.degraded_layers().to_vec(),
+                analog.per_layer_stats(),
+            )
+        })
+    };
+    let check = |cfg: &TileConfig| {
+        let serial = observe(1, cfg);
+        for threads in [2, 4, 8] {
+            let par = observe(threads, cfg);
+            assert_eq!(serial.0, par.0, "logits, threads={threads}");
+            assert_eq!(serial.1, par.1, "fault events, threads={threads}");
+            assert_eq!(serial.2, par.2, "tile health, threads={threads}");
+            assert_eq!(serial.3, par.3, "spares used, threads={threads}");
+            assert_eq!(serial.4, par.4, "digital fallbacks, threads={threads}");
+            assert_eq!(serial.5, par.5, "degraded layers, threads={threads}");
+            assert_eq!(serial.6, par.6, "per-layer stats, threads={threads}");
+        }
+        serial
+    };
+
+    // The NORA deployment, as `RescalePlan::deploy` builds it.
+    let nora = check(&TileConfig::paper_default());
+    assert_eq!(nora.6.len(), 12, "every linear is analog");
+
+    // ABFT (one checksum column of 33), two spares and digital fallback,
+    // under stuck cells and programming failures.
+    let mut protected = TileConfig::paper_default().with_tile_size(32, 33);
+    protected.fault_plan = Some(FaultPlan {
+        seed: 3,
+        stuck_low: 0.02,
+        stuck_high: 0.02,
+        programming_failure: 0.3,
+        ..FaultPlan::none()
+    });
+    protected.fault_tolerance = FaultTolerance::protected();
+    let remapped = check(&protected);
+    let remaps: u32 = remapped
+        .2
+        .iter()
+        .flat_map(|(_, health)| health.iter().map(|h| h.remaps))
+        .sum();
+    assert!(remaps >= 1, "the fault plan must force a remap");
+
+    // No recovery policy: a layer with a tile that fails to program is
+    // left digital. Defect maps follow the physical tile index, so with
+    // 32×32 tiles the fault plan fails tile 1 and spares tile 0: the
+    // one-tile attention projections program and the two-tile FFN
+    // linears degrade.
+    let mut failing = TileConfig::paper_default().with_tile_size(32, 32);
+    failing.fault_plan = Some(FaultPlan {
+        seed: 4,
+        programming_failure: 0.5,
+        ..FaultPlan::none()
+    });
+    let lenient = check(&failing);
+    let degraded: Vec<_> = lenient.5.iter().map(|(id, _)| *id).collect();
+    let ffn = |block| {
+        [
+            LinearId::new(block, LinearKind::Fc1),
+            LinearId::new(block, LinearKind::Fc2),
+        ]
+    };
+    assert_eq!(degraded, [ffn(0), ffn(1)].concat(), "in id order");
+    assert!(lenient
+        .5
+        .iter()
+        .all(|(_, e)| matches!(e, CimError::ProgrammingFailed { .. })));
+    // The strict constructor returns the first of those errors, in id
+    // order, at every thread count.
+    for threads in [1, 2, 4, 8] {
+        let strict = with_threads(threads, || {
+            AnalogTransformerLm::try_new(&model, failing.clone(), plan.smoothing_map(), 532)
+        });
+        assert_eq!(
+            strict.err(),
+            Some(lenient.5[0].1.clone()),
+            "threads={threads}"
+        );
     }
 }
 
@@ -335,10 +455,8 @@ fn sparse_digital_serving_bit_identical_across_thread_counts() {
     }
     let run = |model: &nora::nn::TransformerLm, threads: usize| {
         with_threads(threads, || {
-            let mut engine = GenerationEngine::new(
-                DigitalBackend::new(model),
-                EngineConfig::with_max_batch(4),
-            );
+            let mut engine =
+                GenerationEngine::new(DigitalBackend::new(model), EngineConfig::with_max_batch(4));
             for i in 0..8u64 {
                 engine.submit(
                     GenRequest::new(vec![1 + (i as usize) % 5], 16)
