@@ -1,6 +1,6 @@
 //! Queryable per-stage noise and quantizer budget of a [`TileConfig`].
 //!
-//! The forward path in [`crate::tile`] derives the per-stage constants it
+//! The forward path of [`crate::AnalogTile`] derives the per-stage constants it
 //! needs (converter step sizes, noise σ, IR-drop coefficients, programming
 //! error statistics) inline during tile construction. Analytic consumers —
 //! the closed-form error-propagation model in `nora-eval` and the

@@ -52,11 +52,7 @@ struct TileEntry {
     r0: usize,
     c0: usize,
     slot: TileSlot,
-    health: TileHealth,
-    /// Physical array currently serving this slot (changes on remap).
-    physical_id: u64,
-    /// Pristine rng state for (re-)programming this slot deterministically.
-    rng_template: Rng,
+    place: Placement,
 }
 
 impl TileEntry {
@@ -66,6 +62,26 @@ impl TileEntry {
             TileSlot::Digital(w) => w.rows(),
         }
     }
+}
+
+/// Where a slot's block is programmed and how it has fared: the per-slot
+/// state the programming ladder reads and advances.
+#[derive(Debug, Clone)]
+struct Placement {
+    health: TileHealth,
+    /// Physical array currently serving this slot (changes on remap).
+    physical_id: u64,
+    /// Pristine rng state for (re-)programming this slot deterministically.
+    rng_template: Rng,
+}
+
+/// A layer's spare physical arrays, taken in id order by
+/// [`Climb::remap`]. Their ids run on from the grid's, and a spare once
+/// taken is never returned.
+#[derive(Debug, Clone, Copy)]
+struct SparePool {
+    first_id: u64,
+    used: u32,
 }
 
 /// A linear layer (`y = x · W + b`) executed on a grid of analog tiles.
@@ -112,8 +128,7 @@ pub struct AnalogLinear {
     /// (needed for re-programming, remapping, and digital fallback).
     blocks: Vec<Matrix>,
     events: Vec<TileEvent>,
-    spares_used: u32,
-    next_spare_id: u64,
+    spares: SparePool,
     /// Construction seed, kept as the layer-level component of the
     /// counter-keyed noise streams (the keyed decode path derives each
     /// row's stream from `(seed, grid coords, request seed, position)`).
@@ -148,18 +163,6 @@ fn escalate(config: &TileConfig, tries: u32) -> TileConfig {
     c.write_verify_iters = c.write_verify_iters.saturating_mul(f).min(64);
     c.read_averaging = c.read_averaging.saturating_mul(f).min(16);
     c
-}
-
-/// Rng for programming attempt `attempt` of a slot. Attempt 0 uses the
-/// pristine template so the no-fault path stays bit-identical to the legacy
-/// construction; retries fork decorrelated streams.
-fn attempt_rng(template: &Rng, attempt: u32) -> Rng {
-    if attempt == 0 {
-        template.clone()
-    } else {
-        let mut r = template.clone();
-        r.fork(REPROGRAM_STREAM ^ u64::from(attempt))
-    }
 }
 
 impl AnalogLinear {
@@ -260,50 +263,40 @@ impl AnalogLinear {
         let tr = config.tile_rows;
         // With ABFT on, one physical column per tile holds the checksum.
         let tc = config.tile_cols - usize::from(config.fault_tolerance.abft);
-        // First pass: partition and collect templates so spare ids start
-        // after the grid.
-        let mut grid = Vec::new();
-        let mut r0 = 0;
-        while r0 < d_in {
+        // Spare ids start after the grid.
+        let mut spares = SparePool {
+            first_id: (d_in.div_ceil(tr) * d_out.div_ceil(tc)) as u64,
+            used: 0,
+        };
+        for r0 in (0..d_in).step_by(tr) {
             let r1 = (r0 + tr).min(d_in);
-            let mut c0 = 0;
-            while c0 < d_out {
-                let c1 = (c0 + tc).min(d_out);
-                let tile_rng = root_rng.fork((r0 as u64) << 32 | c0 as u64);
-                grid.push((r0, r1, c0, c1, tile_rng));
-                c0 = c1;
-            }
-            r0 = r1;
-        }
-        let mut next_spare_id = grid.len() as u64;
-        let mut spares_used = 0u32;
-        for (grid_index, (r0, r1, c0, c1, rng_template)) in grid.into_iter().enumerate() {
-            let block = weights.submatrix(r0, r1, c0, c1);
-            let s_slice = smoothing.map(|s| &s[r0..r1]);
-            let mut health = TileHealth::default();
-            let mut physical_id = grid_index as u64;
-            let slot = program_slot(
-                &block,
-                s_slice,
-                &config,
-                &rng_template,
-                &mut health,
-                &mut physical_id,
-                &mut next_spare_id,
-                &mut spares_used,
-                &mut events,
-                grid_index,
-            )?;
-            entries.push(TileEntry {
-                r0,
-                c0,
-                slot,
-                health,
-                physical_id,
-                rng_template,
-            });
-            if retain {
-                blocks.push(block);
+            for c0 in (0..d_out).step_by(tc) {
+                let block = weights.submatrix(r0, r1, c0, (c0 + tc).min(d_out));
+                let idx = entries.len();
+                let mut place = Placement {
+                    health: TileHealth::default(),
+                    physical_id: idx as u64,
+                    rng_template: root_rng.fork((r0 as u64) << 32 | c0 as u64),
+                };
+                let slot = Climb {
+                    config: &config,
+                    spares: &mut spares,
+                    events: &mut events,
+                    idx,
+                    place: &mut place,
+                    block: &block,
+                    smoothing: smoothing.map(|s| &s[r0..r1]),
+                }
+                .construct()?;
+                entries.push(TileEntry {
+                    r0,
+                    c0,
+                    slot,
+                    place,
+                });
+                if retain {
+                    blocks.push(block);
+                }
             }
         }
         Ok(Self {
@@ -315,8 +308,7 @@ impl AnalogLinear {
             config,
             blocks,
             events,
-            spares_used,
-            next_spare_id,
+            spares,
             seed,
             deferred_recovery: false,
         })
@@ -367,12 +359,12 @@ impl AnalogLinear {
 
     /// Spare physical tiles consumed by remapping.
     pub fn spares_used(&self) -> u32 {
-        self.spares_used
+        self.spares.used
     }
 
     /// Health trackers of all tile slots, in grid order.
     pub fn tile_health(&self) -> Vec<TileHealth> {
-        self.entries.iter().map(|e| e.health).collect()
+        self.entries.iter().map(|e| e.place.health).collect()
     }
 
     /// Number of slots currently served by exact digital fallback.
@@ -483,9 +475,9 @@ impl AnalogLinear {
     /// itself are appended to `effects` in grid order; callers absorb them
     /// via [`AnalogLinear::absorb_tile_effect`] after the parallel round,
     /// in a fixed (slot, grid) order. Unlike the sequential path there is
-    /// no inline recovery ladder: a flagged tile is recorded (deferred,
-    /// [`AnalogLinear::note_flag`]-style) for the external maintenance
-    /// scheduler to rotate between rounds.
+    /// no inline recovery ladder: a flagged tile is recorded as in deferred
+    /// mode ([`AnalogLinear::set_deferred_recovery`]) for the external
+    /// maintenance scheduler to rotate between rounds.
     ///
     /// # Panics
     ///
@@ -553,9 +545,10 @@ impl AnalogLinear {
     }
 
     /// Runs the recovery ladder for a flagged slot and returns the partial
-    /// sums to use for the current batch. `faulty_part` is returned
-    /// unchanged only when every recovery avenue is exhausted and digital
-    /// fallback is disabled.
+    /// sums to use for the current batch: the current-array-first walk,
+    /// where a tile must pass its self-test and then re-run the triggering
+    /// batch unflagged. `faulty_part` is returned unchanged only when every
+    /// recovery avenue is exhausted and digital fallback is disabled.
     fn recover_entry(
         &mut self,
         idx: usize,
@@ -563,107 +556,53 @@ impl AnalogLinear {
         faulty_part: Matrix,
         report: AbftReport,
     ) -> Matrix {
-        let policy = self.config.fault_tolerance.clone();
-        let entry = &mut self.entries[idx];
-        entry.health.record_flag();
-        self.events.push(TileEvent {
-            grid_index: idx,
-            physical_id: entry.physical_id,
-            kind: TileEventKind::Flagged {
-                violations: report.violations,
-                rows: report.rows_checked,
-                silent: report.silent,
-            },
+        let (mut climb, slot) = self.climb(idx);
+        climb.flag(&report);
+        // Verify with the deterministic probe first (a workload batch with
+        // near-zero activations would pass any tile, dead ones included),
+        // then re-run the triggering batch.
+        let accepted = climb.current_first(|_, tile| {
+            if tile.self_test().suspicious {
+                return None;
+            }
+            let (part, rep) = tile.forward_checked(x_slice);
+            (!rep.suspicious).then_some(part)
         });
-        let block = self.blocks[idx].clone();
-        let s_slice = self
-            .smoothing
-            .as_ref()
-            .map(|s| s[entry.r0..entry.r0 + block.rows()].to_vec());
+        match accepted.ok().flatten() {
+            Some((tile, attempt, part)) => {
+                climb.record_success(attempt);
+                *slot = TileSlot::Analog(Box::new(tile));
+                part
+            }
+            None => match climb.exhaust() {
+                Some(fallback) => {
+                    *slot = fallback;
+                    x_slice.matmul(climb.block)
+                }
+                None => faulty_part,
+            },
+        }
+    }
 
-        let mut tries_on_current = 0u32;
-        loop {
-            // Exhausted retries on this array: move to a spare, then give up.
-            if tries_on_current > policy.max_reprogram_retries {
-                if self.spares_used < policy.spare_tiles {
-                    self.spares_used += 1;
-                    entry.physical_id = self.next_spare_id;
-                    self.next_spare_id += 1;
-                    entry.health.remaps += 1;
-                    tries_on_current = 0;
-                    continue;
-                }
-                break;
-            }
-            let remapped = entry.health.remaps > 0;
-            let attempt = entry.health.next_attempt();
-            let cfg = escalate(&self.config, tries_on_current);
-            tries_on_current += 1;
-            let site = TileSite {
-                physical_id: entry.physical_id,
-                programming_attempt: attempt,
-            };
-            match AnalogTile::try_new_at(
-                block.clone(),
-                s_slice.as_deref(),
-                cfg,
-                attempt_rng(&entry.rng_template, attempt),
-                site,
-            ) {
-                Ok(mut tile) => {
-                    // Verify with the deterministic probe first (a workload
-                    // batch with near-zero activations would pass any tile,
-                    // dead ones included), then re-run the triggering batch.
-                    if !tile.self_test().suspicious {
-                        let (part, rep) = tile.forward_checked(x_slice);
-                        if !rep.suspicious {
-                            self.events.push(TileEvent {
-                                grid_index: idx,
-                                physical_id: entry.physical_id,
-                                kind: if remapped {
-                                    TileEventKind::Remapped {
-                                        spare_id: entry.physical_id,
-                                    }
-                                } else {
-                                    TileEventKind::Reprogrammed { attempt }
-                                },
-                            });
-                            entry.slot = TileSlot::Analog(Box::new(tile));
-                            return part;
-                        }
-                    }
-                    // Still flagged — same array keeps its stuck cells.
-                }
-                Err(CimError::ProgrammingFailed { .. }) => {
-                    self.events.push(TileEvent {
-                        grid_index: idx,
-                        physical_id: entry.physical_id,
-                        kind: TileEventKind::ProgrammingFailed { attempt },
-                    });
-                }
-                // Config/shape errors cannot appear here: the layer already
-                // validated both at construction.
-                Err(_) => break,
-            }
-        }
-        entry.health.state = HealthState::Condemned;
-        if policy.digital_fallback {
-            self.events.push(TileEvent {
-                grid_index: idx,
-                physical_id: entry.physical_id,
-                kind: TileEventKind::DigitalFallback,
-            });
-            let part = x_slice.matmul(&block);
-            entry.slot = TileSlot::Digital(block);
-            part
-        } else {
-            self.events.push(TileEvent {
-                grid_index: idx,
-                physical_id: entry.physical_id,
-                kind: TileEventKind::Unrecovered,
-            });
-            faulty_part
-        }
+    /// Slot `idx`'s climb of the programming ladder, and the slot it
+    /// programs. Only a layer with an active policy keeps the blocks a
+    /// climb needs. Construction already validated the config, shapes and
+    /// smoothing, so a climb from here meets no error but a programming
+    /// failure, and its callers read any other as exhaustion.
+    fn climb(&mut self, idx: usize) -> (Climb<'_>, &mut TileSlot) {
+        let entry = &mut self.entries[idx];
+        let block = &self.blocks[idx];
+        let rows = entry.r0..entry.r0 + block.rows();
+        let climb = Climb {
+            config: &self.config,
+            spares: &mut self.spares,
+            events: &mut self.events,
+            idx,
+            place: &mut entry.place,
+            block,
+            smoothing: self.smoothing.as_deref().map(|s| &s[rows]),
+        };
+        (climb, &mut entry.slot)
     }
 
     /// Aggregated forward statistics across all analog tiles.
@@ -702,7 +641,7 @@ impl AnalogLinear {
             "cim.health.digital_fallback_slots",
             self.digital_fallback_count() as u64,
         );
-        m.add("cim.health.spares_used", u64::from(self.spares_used));
+        m.add("cim.health.spares_used", u64::from(self.spares.used));
     }
 
     /// Applies conductance drift at `t_seconds` to every analog tile
@@ -736,11 +675,6 @@ impl AnalogLinear {
         self.deferred_recovery = deferred;
     }
 
-    /// Whether deferred recovery is active.
-    pub fn deferred_recovery(&self) -> bool {
-        self.deferred_recovery
-    }
-
     /// Captures each analog tile's recalibration reference (idempotent per
     /// tile — see [`AnalogTile::capture_probe_reference`]).
     pub fn capture_probe_references(&mut self) {
@@ -769,7 +703,7 @@ impl AnalogLinear {
             let TileSlot::Analog(tile) = &mut e.slot else {
                 continue;
             };
-            if e.health.state != HealthState::Healthy {
+            if e.place.health.state != HealthState::Healthy {
                 excluded += 1;
                 continue;
             }
@@ -806,7 +740,8 @@ impl AnalogLinear {
             .iter()
             .enumerate()
             .filter(|(_, e)| {
-                matches!(e.slot, TileSlot::Analog(_)) && e.health.state == HealthState::Suspect
+                matches!(e.slot, TileSlot::Analog(_))
+                    && e.place.health.state == HealthState::Suspect
             })
             .map(|(idx, _)| idx)
             .collect()
@@ -823,120 +758,30 @@ impl AnalogLinear {
     /// captured. Returns `true` iff the slot is served by a healthy analog
     /// tile afterwards.
     pub fn rotate_tile(&mut self, idx: usize, now: f64) -> bool {
-        let policy = self.config.fault_tolerance.clone();
-        if !policy.is_active() || idx >= self.entries.len() {
+        let analog = matches!(
+            self.entries.get(idx).map(|e| &e.slot),
+            Some(TileSlot::Analog(_))
+        );
+        if !self.config.fault_tolerance.is_active() || !analog {
             return false;
         }
-        if matches!(self.entries[idx].slot, TileSlot::Digital(_)) {
-            return false;
-        }
-        let block = self.blocks[idx].clone();
-        let entry = &mut self.entries[idx];
-        let s_slice = self
-            .smoothing
-            .as_ref()
-            .map(|s| s[entry.r0..entry.r0 + block.rows()].to_vec());
-        // Phase 1 — spare arrays: each failed spare (programming failure or
-        // self-test flag) consumes the next one.
-        while self.spares_used < policy.spare_tiles {
-            self.spares_used += 1;
-            entry.physical_id = self.next_spare_id;
-            self.next_spare_id += 1;
-            entry.health.remaps += 1;
-            let attempt = entry.health.next_attempt();
-            let site = TileSite {
-                physical_id: entry.physical_id,
-                programming_attempt: attempt,
-            };
-            match AnalogTile::try_new_at(
-                block.clone(),
-                s_slice.as_deref(),
-                self.config.clone(),
-                attempt_rng(&entry.rng_template, attempt),
-                site,
-            ) {
-                Ok(mut tile) => {
-                    if !tile.self_test().suspicious {
-                        self.events.push(TileEvent {
-                            grid_index: idx,
-                            physical_id: entry.physical_id,
-                            kind: TileEventKind::Remapped {
-                                spare_id: entry.physical_id,
-                            },
-                        });
-                        tile.set_programmed_at(now);
-                        tile.capture_probe_reference();
-                        entry.health.state = HealthState::Healthy;
-                        entry.slot = TileSlot::Analog(Box::new(tile));
-                        return true;
-                    }
+        let (mut climb, slot) = self.climb(idx);
+        match climb.spares_first().ok().flatten() {
+            Some((mut tile, label)) => {
+                climb.record(label);
+                tile.set_programmed_at(now);
+                tile.capture_probe_reference();
+                climb.place.health.state = HealthState::Healthy;
+                *slot = TileSlot::Analog(Box::new(tile));
+                true
+            }
+            None => {
+                if let Some(fallback) = climb.exhaust() {
+                    *slot = fallback;
                 }
-                Err(CimError::ProgrammingFailed { .. }) => {
-                    self.events.push(TileEvent {
-                        grid_index: idx,
-                        physical_id: entry.physical_id,
-                        kind: TileEventKind::ProgrammingFailed { attempt },
-                    });
-                }
-                Err(_) => break,
+                false
             }
         }
-        // Phase 2 — escalated re-programming of the current array.
-        for tries in 0..=policy.max_reprogram_retries {
-            let attempt = entry.health.next_attempt();
-            let cfg = escalate(&self.config, tries);
-            let site = TileSite {
-                physical_id: entry.physical_id,
-                programming_attempt: attempt,
-            };
-            match AnalogTile::try_new_at(
-                block.clone(),
-                s_slice.as_deref(),
-                cfg,
-                attempt_rng(&entry.rng_template, attempt),
-                site,
-            ) {
-                Ok(mut tile) => {
-                    if !tile.self_test().suspicious {
-                        self.events.push(TileEvent {
-                            grid_index: idx,
-                            physical_id: entry.physical_id,
-                            kind: TileEventKind::Reprogrammed { attempt },
-                        });
-                        tile.set_programmed_at(now);
-                        tile.capture_probe_reference();
-                        entry.health.state = HealthState::Healthy;
-                        entry.slot = TileSlot::Analog(Box::new(tile));
-                        return true;
-                    }
-                }
-                Err(CimError::ProgrammingFailed { .. }) => {
-                    self.events.push(TileEvent {
-                        grid_index: idx,
-                        physical_id: entry.physical_id,
-                        kind: TileEventKind::ProgrammingFailed { attempt },
-                    });
-                }
-                Err(_) => break,
-            }
-        }
-        // Phase 3 — graceful degradation.
-        entry.health.state = HealthState::Condemned;
-        if policy.digital_fallback {
-            self.events.push(TileEvent {
-                grid_index: idx,
-                physical_id: entry.physical_id,
-                kind: TileEventKind::DigitalFallback,
-            });
-            entry.slot = TileSlot::Digital(block);
-        } else {
-            self.events.push(TileEvent {
-                grid_index: idx,
-                physical_id: entry.physical_id,
-                kind: TileEventKind::Unrecovered,
-            });
-        }
-        false
     }
 
     /// Records a checksum violation in deferred mode: the health ladder
@@ -944,19 +789,11 @@ impl AnalogLinear {
     /// Healthy → Suspect transition (one event per degradation episode, not
     /// one per served round).
     fn note_flag(&mut self, idx: usize, report: &AbftReport) {
-        let entry = &mut self.entries[idx];
-        let was_healthy = entry.health.state == HealthState::Healthy;
-        entry.health.record_flag();
-        if was_healthy {
-            self.events.push(TileEvent {
-                grid_index: idx,
-                physical_id: entry.physical_id,
-                kind: TileEventKind::Flagged {
-                    violations: report.violations,
-                    rows: report.rows_checked,
-                    silent: report.silent,
-                },
-            });
+        let (mut climb, _) = self.climb(idx);
+        if climb.place.health.state == HealthState::Healthy {
+            climb.flag(report);
+        } else {
+            climb.place.health.record_flag();
         }
     }
 
@@ -973,107 +810,189 @@ impl AnalogLinear {
     }
 }
 
-/// Construction-time programming ladder for one slot (free function so the
-/// constructor can call it before `Self` exists). Mirrors the runtime ladder
-/// in [`AnalogLinear::recover_entry`] minus the forward verification.
-#[allow(clippy::too_many_arguments)]
-fn program_slot(
-    block: &Matrix,
-    s_slice: Option<&[f32]>,
-    config: &TileConfig,
-    rng_template: &Rng,
-    health: &mut TileHealth,
-    physical_id: &mut u64,
-    next_spare_id: &mut u64,
-    spares_used: &mut u32,
-    events: &mut Vec<TileEvent>,
-    grid_index: usize,
-) -> Result<TileSlot, CimError> {
-    let policy = &config.fault_tolerance;
-    let mut tries_on_current = 0u32;
-    loop {
-        if tries_on_current > policy.max_reprogram_retries {
-            if *spares_used < policy.spare_tiles {
-                *spares_used += 1;
-                *physical_id = *next_spare_id;
-                *next_spare_id += 1;
-                health.remaps += 1;
-                tries_on_current = 0;
-                continue;
-            }
-            if policy.digital_fallback {
-                health.state = HealthState::Condemned;
-                events.push(TileEvent {
-                    grid_index,
-                    physical_id: *physical_id,
-                    kind: TileEventKind::DigitalFallback,
-                });
-                return Ok(TileSlot::Digital(block.clone()));
-            }
-            return Err(CimError::ProgrammingFailed {
-                physical_id: *physical_id,
-                attempt: health.programming_attempts.saturating_sub(1),
-            });
+/// One slot's climb of the programming ladder. It borrows what every rung
+/// touches: the layer's config, spare pool and event log, and the slot's
+/// block, smoothing slice and placement. Construction, inline recovery and
+/// background rotation each walk the same three rungs: a programming
+/// attempt, a remap to a spare, and exhaustion.
+struct Climb<'a> {
+    config: &'a TileConfig,
+    spares: &'a mut SparePool,
+    events: &'a mut Vec<TileEvent>,
+    idx: usize,
+    place: &'a mut Placement,
+    block: &'a Matrix,
+    smoothing: Option<&'a [f32]>,
+}
+
+/// An accepted tile, the attempt that programmed it, and what its
+/// acceptance check returned.
+type Accepted<T> = Option<(AnalogTile, u32, T)>;
+
+impl Climb<'_> {
+    /// Records `kind` against the slot's current array.
+    fn record(&mut self, kind: TileEventKind) {
+        self.events.push(TileEvent {
+            grid_index: self.idx,
+            physical_id: self.place.physical_id,
+            kind,
+        });
+    }
+
+    /// Records a checksum flag on the slot.
+    fn flag(&mut self, report: &AbftReport) {
+        self.place.health.record_flag();
+        self.record(TileEventKind::Flagged {
+            violations: report.violations,
+            rows: report.rows_checked,
+            silent: report.silent,
+        });
+    }
+
+    /// Rung 1: programs the block onto the current array at escalation
+    /// `tries`, consuming the slot's next attempt number. Attempt 0 draws
+    /// from the pristine template, so the fault-free path is the plain
+    /// construction; later attempts fork decorrelated streams. A failure
+    /// the fault plan draws is recorded and gives `Ok(None)`.
+    fn attempt(&mut self, tries: u32) -> Result<Option<(AnalogTile, u32)>, CimError> {
+        let attempt = self.place.health.next_attempt();
+        let mut rng = self.place.rng_template.clone();
+        if attempt > 0 {
+            rng = rng.fork(REPROGRAM_STREAM ^ u64::from(attempt));
         }
-        let remapped = health.remaps > 0;
-        let attempt = health.next_attempt();
-        let cfg = escalate(config, tries_on_current);
-        tries_on_current += 1;
         let site = TileSite {
-            physical_id: *physical_id,
+            physical_id: self.place.physical_id,
             programming_attempt: attempt,
         };
         match AnalogTile::try_new_at(
-            block.clone(),
-            s_slice,
-            cfg,
-            attempt_rng(rng_template, attempt),
+            self.block.clone(),
+            self.smoothing,
+            escalate(self.config, tries),
+            rng,
             site,
         ) {
-            Ok(mut tile) => {
-                // Built-in self-test: a tile that programs without error can
-                // still be dead or riddled with stuck cells — probe it before
-                // accepting, and keep climbing the ladder if it fails.
-                if policy.is_active() {
-                    let st = tile.self_test();
-                    if st.suspicious {
-                        health.record_flag();
-                        events.push(TileEvent {
-                            grid_index,
-                            physical_id: *physical_id,
-                            kind: TileEventKind::Flagged {
-                                violations: st.violations,
-                                rows: st.rows_checked,
-                                silent: st.silent,
-                            },
-                        });
-                        continue;
-                    }
-                }
-                if attempt > 0 {
-                    events.push(TileEvent {
-                        grid_index,
-                        physical_id: *physical_id,
-                        kind: if remapped {
-                            TileEventKind::Remapped {
-                                spare_id: *physical_id,
-                            }
-                        } else {
-                            TileEventKind::Reprogrammed { attempt }
-                        },
-                    });
-                }
-                return Ok(TileSlot::Analog(Box::new(tile)));
-            }
+            Ok(tile) => Ok(Some((tile, attempt))),
             Err(CimError::ProgrammingFailed { .. }) => {
-                events.push(TileEvent {
-                    grid_index,
-                    physical_id: *physical_id,
-                    kind: TileEventKind::ProgrammingFailed { attempt },
-                });
+                self.record(TileEventKind::ProgrammingFailed { attempt });
+                Ok(None)
             }
-            Err(e) => return Err(e),
+            Err(e) => Err(e),
         }
+    }
+
+    /// Rung 2: moves the slot onto the next spare array, if one is left.
+    fn remap(&mut self) -> bool {
+        if self.spares.used >= self.config.fault_tolerance.spare_tiles {
+            return false;
+        }
+        self.place.physical_id = self.spares.first_id + u64::from(self.spares.used);
+        self.spares.used += 1;
+        self.place.health.remaps += 1;
+        true
+    }
+
+    /// Rung 3: condemns the slot, and returns its exact digital block when
+    /// the policy allows fallback.
+    fn exhaust(&mut self) -> Option<TileSlot> {
+        self.place.health.state = HealthState::Condemned;
+        if self.config.fault_tolerance.digital_fallback {
+            self.record(TileEventKind::DigitalFallback);
+            Some(TileSlot::Digital(self.block.clone()))
+        } else {
+            self.record(TileEventKind::Unrecovered);
+            None
+        }
+    }
+
+    /// One attempt whose tile must also pass `accept`.
+    fn try_tile<T>(
+        &mut self,
+        tries: u32,
+        accept: &mut impl FnMut(&mut Self, &mut AnalogTile) -> Option<T>,
+    ) -> Result<Accepted<T>, CimError> {
+        let Some((mut tile, attempt)) = self.attempt(tries)? else {
+            return Ok(None);
+        };
+        Ok(accept(self, &mut tile).map(|v| (tile, attempt, v)))
+    }
+
+    /// The current-array-first walk of construction and inline recovery:
+    /// up to `1 + max_reprogram_retries` escalating attempts on the current
+    /// array, then the same on each spare in turn.
+    fn current_first<T>(
+        &mut self,
+        mut accept: impl FnMut(&mut Self, &mut AnalogTile) -> Option<T>,
+    ) -> Result<Accepted<T>, CimError> {
+        loop {
+            for tries in 0..=self.config.fault_tolerance.max_reprogram_retries {
+                if let Some(hit) = self.try_tile(tries, &mut accept)? {
+                    return Ok(Some(hit));
+                }
+            }
+            if !self.remap() {
+                return Ok(None);
+            }
+        }
+    }
+
+    /// The spare-first walk of a background rotation: one plain attempt on
+    /// each spare left, then escalating attempts on the current array. A
+    /// tile must pass its self-test, and a success is labelled by phase.
+    fn spares_first(&mut self) -> Result<Option<(AnalogTile, TileEventKind)>, CimError> {
+        let mut self_test =
+            |_: &mut Self, tile: &mut AnalogTile| (!tile.self_test().suspicious).then_some(());
+        while self.remap() {
+            if let Some((tile, _, ())) = self.try_tile(0, &mut self_test)? {
+                let spare_id = self.place.physical_id;
+                return Ok(Some((tile, TileEventKind::Remapped { spare_id })));
+            }
+        }
+        for tries in 0..=self.config.fault_tolerance.max_reprogram_retries {
+            if let Some((tile, attempt, ())) = self.try_tile(tries, &mut self_test)? {
+                return Ok(Some((tile, TileEventKind::Reprogrammed { attempt })));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Records a success as construction and inline recovery label it: a
+    /// remap once the slot has ever moved to a spare, otherwise a
+    /// re-program.
+    fn record_success(&mut self, attempt: u32) {
+        let spare_id = self.place.physical_id;
+        self.record(if self.place.health.remaps > 0 {
+            TileEventKind::Remapped { spare_id }
+        } else {
+            TileEventKind::Reprogrammed { attempt }
+        });
+    }
+
+    /// Programs a new slot on the current-array-first walk. With an active
+    /// policy a tile must pass its self-test, and a failure is flagged. A
+    /// slot the walk exhausts falls back to digital, or is an error when
+    /// the policy allows no fallback.
+    fn construct(mut self) -> Result<TileSlot, CimError> {
+        let active = self.config.fault_tolerance.is_active();
+        let accepted = self.current_first(|climb, tile| {
+            if active {
+                let report = tile.self_test();
+                if report.suspicious {
+                    climb.flag(&report);
+                    return None;
+                }
+            }
+            Some(())
+        })?;
+        if let Some((tile, attempt, ())) = accepted {
+            if attempt > 0 {
+                self.record_success(attempt);
+            }
+            return Ok(TileSlot::Analog(Box::new(tile)));
+        }
+        self.exhaust().ok_or(CimError::ProgrammingFailed {
+            physical_id: self.place.physical_id,
+            attempt: self.place.health.programming_attempts.saturating_sub(1),
+        })
     }
 }
 

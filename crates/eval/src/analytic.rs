@@ -570,7 +570,7 @@ impl BlockModel {
 ///
 /// Replicates the [`AnalogLinear`](nora_cim::AnalogLinear) tile grid
 /// (`tile_rows × tile_cols` blocks, digital partial-sum accumulation) and
-/// evaluates each block with [`BlockModel`]. `smoothing` is the NORA
+/// evaluates each block with `BlockModel`. `smoothing` is the NORA
 /// rescale vector for this layer (length `d_in`), `None` for the naïve
 /// deployment. The layer bias is excluded — it is digital in both
 /// deployments and cancels in the error.

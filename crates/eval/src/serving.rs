@@ -113,44 +113,12 @@ pub struct ServingSummary {
 
 /// Serves `workload` through a fresh engine over `backend` and returns the
 /// per-request results in submission order.
-pub fn serve_workload<B: Backend>(
+fn serve_workload<B: Backend>(
     backend: B,
     workload: &ServingWorkload,
     max_batch: usize,
 ) -> (Vec<GenResult>, ServingSummary) {
-    let mut scratch = nora_obs::Metrics::new();
-    serve_workload_recorded(backend, workload, max_batch, &mut scratch)
-}
-
-/// Like [`serve_workload`], additionally merging the engine's operational
-/// metrics (`serve.*` counters and latency histograms) into `metrics` after
-/// the run. The generated tokens are bit-identical to [`serve_workload`]:
-/// the engine accumulates the same metrics either way, this entry point
-/// merely hands them to the caller instead of dropping them.
-pub fn serve_workload_recorded<B: Backend>(
-    backend: B,
-    workload: &ServingWorkload,
-    max_batch: usize,
-    metrics: &mut nora_obs::Metrics,
-) -> (Vec<GenResult>, ServingSummary) {
-    serve_workload_configured(
-        backend,
-        workload,
-        EngineConfig::with_max_batch(max_batch),
-        metrics,
-    )
-}
-
-/// Like [`serve_workload_recorded`], but with a caller-supplied
-/// [`EngineConfig`] — the entry point for maintained (drift-aware) serving
-/// runs, which need [`nora_serve::MaintenanceConfig`] attached.
-pub fn serve_workload_configured<B: Backend>(
-    backend: B,
-    workload: &ServingWorkload,
-    config: EngineConfig,
-    metrics: &mut nora_obs::Metrics,
-) -> (Vec<GenResult>, ServingSummary) {
-    let mut engine = GenerationEngine::new(backend, config);
+    let mut engine = GenerationEngine::new(backend, EngineConfig::with_max_batch(max_batch));
     for request in &workload.requests {
         engine.submit(request.clone());
     }
@@ -163,7 +131,6 @@ pub fn serve_workload_configured<B: Backend>(
         mismatches: 0,
         tokens_per_sec: report.tokens_per_sec(),
     };
-    metrics.merge(engine.metrics());
     (results, summary)
 }
 

@@ -16,7 +16,7 @@ use nora_cim::{
     TileEvent, TileHealth,
 };
 use nora_tensor::Matrix;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Per-layer NORA smoothing vectors keyed by linear id.
 ///
@@ -51,7 +51,9 @@ pub struct DecodeCtx {
 #[derive(Debug, Clone)]
 pub struct AnalogTransformerLm {
     model: TransformerLm,
-    analog: HashMap<LinearId, AnalogLinear>,
+    /// The analog layers in [`LinearId`] (forward) order, so every walk
+    /// over them, and every float sum it merges, runs in one order.
+    analog: BTreeMap<LinearId, AnalogLinear>,
     degraded: Vec<(LinearId, CimError)>,
 }
 
@@ -139,7 +141,7 @@ impl AnalogTransformerLm {
             })
             .collect();
         let programmed = AnalogLinear::try_with_smoothing_batch(layers, &config);
-        let mut analog = HashMap::new();
+        let mut analog = BTreeMap::new();
         let mut degraded = Vec::new();
         for (id, result) in ids.into_iter().zip(programmed) {
             match result {
@@ -177,25 +179,18 @@ impl AnalogTransformerLm {
     /// layers (checksum flags, re-programmings, remaps, fallbacks), sorted
     /// by (block, kind) and within a layer in occurrence order.
     pub fn fault_events(&self) -> Vec<(LinearId, TileEvent)> {
-        let mut ids = self.model.linear_ids();
-        ids.retain(|id| self.analog.contains_key(id));
-        ids.into_iter()
-            .flat_map(|id| {
-                self.analog[&id]
-                    .events()
-                    .iter()
-                    .map(move |&event| (id, event))
-            })
+        self.analog
+            .iter()
+            .flat_map(|(&id, layer)| layer.events().iter().map(move |&event| (id, event)))
             .collect()
     }
 
     /// Tile health trackers of every analog layer, keyed by linear id and
     /// listed in the layer's grid order.
     pub fn tile_health(&self) -> Vec<(LinearId, Vec<TileHealth>)> {
-        let mut ids = self.model.linear_ids();
-        ids.retain(|id| self.analog.contains_key(id));
-        ids.into_iter()
-            .map(|id| (id, self.analog[&id].tile_health()))
+        self.analog
+            .iter()
+            .map(|(&id, layer)| (id, layer.tile_health()))
             .collect()
     }
 
@@ -323,10 +318,9 @@ impl AnalogTransformerLm {
 
     /// Per-layer statistics, sorted by (block, kind) order.
     pub fn per_layer_stats(&self) -> Vec<(LinearId, ForwardStats)> {
-        let mut ids = self.model.linear_ids();
-        ids.retain(|id| self.analog.contains_key(id));
-        ids.into_iter()
-            .map(|id| (id, self.analog[&id].stats()))
+        self.analog
+            .iter()
+            .map(|(&id, layer)| (id, layer.stats()))
             .collect()
     }
 
@@ -398,15 +392,9 @@ impl AnalogTransformerLm {
     /// kind) layer order, and returns each layer's outcome (layers with no
     /// probe-able healthy tile are skipped).
     pub fn recalibrate(&mut self) -> Vec<(LinearId, nora_cim::RecalOutcome)> {
-        let mut ids = self.model.linear_ids();
-        ids.retain(|id| self.analog.contains_key(id));
-        ids.into_iter()
-            .filter_map(|id| {
-                self.analog
-                    .get_mut(&id)
-                    .and_then(AnalogLinear::recalibrate)
-                    .map(|outcome| (id, outcome))
-            })
+        self.analog
+            .iter_mut()
+            .filter_map(|(&id, layer)| layer.recalibrate().map(|outcome| (id, outcome)))
             .collect()
     }
 
@@ -414,15 +402,9 @@ impl AnalogTransformerLm {
     /// (layer id, grid index) pairs in (block, kind) then grid order — the
     /// maintenance scheduler's rotation work list.
     pub fn suspect_tiles(&self) -> Vec<(LinearId, usize)> {
-        let mut ids = self.model.linear_ids();
-        ids.retain(|id| self.analog.contains_key(id));
-        ids.into_iter()
-            .flat_map(|id| {
-                self.analog[&id]
-                    .suspect_tiles()
-                    .into_iter()
-                    .map(move |idx| (id, idx))
-            })
+        self.analog
+            .iter()
+            .flat_map(|(&id, layer)| layer.suspect_tiles().into_iter().map(move |idx| (id, idx)))
             .collect()
     }
 
@@ -656,6 +638,33 @@ mod tests {
         assert!(analog.fault_events().is_empty());
         assert_eq!(analog.spares_used(), 0);
         assert_eq!(analog.digital_fallback_count(), 0);
+    }
+
+    #[test]
+    fn repeated_deployments_report_identical_energy_and_stats() {
+        // Every deployment merges its layers' float sums in one order, so
+        // twenty identical deployments in one process report one value.
+        let model = TransformerLm::new(
+            ModelConfig {
+                layers: 2,
+                ..ModelConfig::tiny_for_tests()
+            },
+            &mut Rng::seed_from(21),
+        );
+        let cfg = TileConfig::paper_default().with_tile_size(64, 64);
+        let energy = nora_cim::EnergyModel::default();
+        let run = || {
+            let mut analog =
+                AnalogTransformerLm::new(&model, cfg.clone(), &SmoothingMap::new(), 511);
+            for tokens in [[1usize, 5, 2, 7], [3, 3, 8, 1], [6, 2, 9, 4], [2, 7, 7, 5]] {
+                analog.forward(&tokens);
+            }
+            (analog.energy(&energy), analog.stats())
+        };
+        let first = run();
+        for i in 1..20 {
+            assert_eq!(run(), first, "deployment {i}");
+        }
     }
 
     #[test]
