@@ -16,12 +16,12 @@ use nora_nn::zoo::opt_presets;
 
 fn main() -> Result<(), Error> {
     let mut cfg = AnalyticValidationConfig::default();
-    if fast_mode() {
+    if fast_mode()? {
         cfg.mse_points = 2;
     }
     cfg.mse_points = env_scalar("NORA_AV_MSE_POINTS", cfg.mse_points, parsed)?;
 
-    let prepared = vec![prepare_cached(&opt_presets()[0])];
+    let prepared = vec![prepare_cached(&opt_presets()[0])?];
     let t0 = std::time::Instant::now();
     let rows = analytic_validation(&prepared, &cfg);
     println!("{}", AnalyticValidationRow::table(&rows).render());

@@ -19,7 +19,7 @@ use nora_eval::runner::{design_space_recorded, DesignSpaceConfig, DesignSpaceRow
 use nora_nn::zoo::opt_presets;
 
 fn main() -> Result<(), Error> {
-    let mut cfg = if fast_mode() {
+    let mut cfg = if fast_mode()? {
         DesignSpaceConfig::tiny()
     } else {
         DesignSpaceConfig::default()
@@ -30,7 +30,7 @@ fn main() -> Result<(), Error> {
     cfg.noise_scales = env_list("NORA_DS_NOISE_SCALES", &cfg.noise_scales, parsed)?;
     cfg.lambdas = env_list("NORA_DS_LAMBDAS", &cfg.lambdas, parsed)?;
 
-    let p = prepare_cached(&opt_presets()[0]);
+    let p = prepare_cached(&opt_presets()[0])?;
     let mut metrics = nora_obs::Metrics::new();
     let t0 = std::time::Instant::now();
     let rows = design_space_recorded(&p, &cfg, &mut metrics);

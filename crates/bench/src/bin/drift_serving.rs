@@ -26,7 +26,7 @@ use nora_nn::zoo::{opt_presets, other_presets};
 
 fn main() -> Result<(), Error> {
     let mut cfg = DriftServingConfig::default();
-    let default_horizon = if fast_mode() { 2e5 } else { 1e6 };
+    let default_horizon = if fast_mode()? { 2e5 } else { 1e6 };
     cfg.horizon = env_scalar("NORA_DRIFT_HORIZON", default_horizon, parsed)?;
     cfg.secs_per_decode_step =
         env_scalar("NORA_DRIFT_STEP_SECS", cfg.secs_per_decode_step, parsed)?;
@@ -34,10 +34,10 @@ fn main() -> Result<(), Error> {
 
     let opt = &opt_presets()[2];
     let mistral = &other_presets()[2];
-    let prepared = if fast_mode() {
-        vec![prepare_cached(opt)]
+    let prepared = if fast_mode()? {
+        vec![prepare_cached(opt)?]
     } else {
-        vec![prepare_cached(opt), prepare_cached(mistral)]
+        vec![prepare_cached(opt)?, prepare_cached(mistral)?]
     };
 
     let mut metrics = nora_obs::Metrics::new();

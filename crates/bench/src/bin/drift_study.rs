@@ -5,14 +5,14 @@
 //! shrinks in some models; the simple global compensation recovers much of
 //! the loss ("IR-drop and drift could be simply compensated").
 
-use nora_bench::prepare_cached;
+use nora_bench::{prepare_cached, Error};
 use nora_eval::runner::{drift_study, DriftConfig, DriftRow};
 use nora_nn::zoo::{opt_presets, other_presets};
 
-fn main() {
+fn main() -> Result<(), Error> {
     let opt = &opt_presets()[2];
     let mistral = &other_presets()[2];
-    let prepared = vec![prepare_cached(opt), prepare_cached(mistral)];
+    let prepared = vec![prepare_cached(opt)?, prepare_cached(mistral)?];
     let rows = drift_study(&prepared, &DriftConfig::default());
     println!("{}", DriftRow::table(&rows).render());
 
@@ -36,4 +36,5 @@ fn main() {
             pick("nora", true, 3600.0),
         );
     }
+    Ok(())
 }

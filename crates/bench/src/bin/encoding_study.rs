@@ -6,15 +6,15 @@
 //! robustness: binary levels cancel the S-shape exactly, and the digital
 //! shift-add attenuates per-plane additive output noise.
 
-use nora_bench::prepare_cached;
+use nora_bench::{prepare_cached, Error};
 use nora_cim::{InputEncoding, TileConfig};
 use nora_core::RescalePlan;
 use nora_eval::report::{pct, Table};
 use nora_eval::tasks::analog_accuracy;
 use nora_nn::zoo::opt_presets;
 
-fn main() {
-    let prepared = prepare_cached(&opt_presets()[2]);
+fn main() -> Result<(), Error> {
+    let prepared = prepare_cached(&opt_presets()[2])?;
     let mut t = Table::new(&["tile config", "encoding", "plan", "acc%"])
         .with_title("Input-encoding ablation — analog DAC vs bit-serial drive");
 
@@ -50,4 +50,5 @@ fn main() {
     }
     println!("{}", t.render());
     println!("digital baseline: {}%", pct(prepared.digital_acc));
+    Ok(())
 }

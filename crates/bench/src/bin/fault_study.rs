@@ -17,7 +17,7 @@ use nora_nn::zoo::{opt_presets, other_presets};
 fn main() -> Result<(), Error> {
     let opt = &opt_presets()[2];
     let mistral = &other_presets()[2];
-    let prepared = vec![prepare_cached(opt), prepare_cached(mistral)];
+    let prepared = vec![prepare_cached(opt)?, prepare_cached(mistral)?];
     let cfg = FaultStudyConfig::default();
     let rows = fault_study(&prepared, &cfg);
     println!("{}", FaultStudyRow::table(&rows).render());

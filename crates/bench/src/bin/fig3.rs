@@ -7,21 +7,21 @@
 //! the tile non-idealities (read noise, programming noise, IR-drop,
 //! S-shape).
 
-use nora_bench::{fast_mode, prepare_cached};
+use nora_bench::{fast_mode, prepare_cached, Error};
 use nora_eval::runner::{sensitivity, SensitivityConfig, SensitivityPoint};
 use nora_nn::zoo::{opt_presets, other_presets};
 
-fn main() {
+fn main() -> Result<(), Error> {
     let opt = &opt_presets()[1]; // opt-2.7b-sim: the most quantization-fragile
     let others = other_presets();
     let prepared = vec![
-        prepare_cached(opt),
-        prepare_cached(&others[0]), // llama2-7b-sim
-        prepare_cached(&others[2]), // mistral-7b-sim
+        prepare_cached(opt)?,
+        prepare_cached(&others[0])?, // llama2-7b-sim
+        prepare_cached(&others[2])?, // mistral-7b-sim
     ];
     let cfg = SensitivityConfig {
         // The paper's Fig. 3 uses an 8-point MSE grid.
-        mse_points: if fast_mode() { 3 } else { 8 },
+        mse_points: if fast_mode()? { 3 } else { 8 },
         ..SensitivityConfig::default()
     };
     eprintln!("[fig3] sweeping {} noises × {} levels…", cfg.noises.len(), cfg.mse_points);
@@ -42,4 +42,5 @@ fn main() {
         }
         println!("{line}");
     }
+    Ok(())
 }

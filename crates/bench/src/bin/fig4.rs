@@ -6,13 +6,13 @@
 //! above weight kurtosis (113.61 vs 1.25 in the paper), with a long
 //! activation tail from fixed outlier channels.
 
-use nora_bench::prepare_cached;
+use nora_bench::{prepare_cached, Error};
 use nora_eval::runner::kde_report;
 use nora_nn::zoo::other_presets;
 
-fn main() {
+fn main() -> Result<(), Error> {
     let mistral = &other_presets()[2];
-    let prepared = prepare_cached(mistral);
+    let prepared = prepare_cached(mistral)?;
     let report = kde_report(&prepared, None);
     println!("{}", report.table().render());
     println!("normalised KDE (log-scaled bars):");
@@ -22,4 +22,5 @@ fn main() {
          (Mistral-7B layer 2); the ratio — activations vastly heavier-tailed \
          than weights — is the reproduced quantity."
     );
+    Ok(())
 }

@@ -5,12 +5,15 @@
 //! for OPT-2.7b); NORA recovers to within ~1 pp of digital for the larger
 //! models.
 
-use nora_bench::prepare_cached;
+use nora_bench::{prepare_cached, Error};
 use nora_eval::runner::{overall, OverallConfig, OverallRow};
 use nora_nn::zoo::opt_presets;
 
-fn main() {
-    let prepared: Vec<_> = opt_presets().iter().map(prepare_cached).collect();
+fn main() -> Result<(), Error> {
+    let prepared: Vec<_> = opt_presets()
+        .iter()
+        .map(prepare_cached)
+        .collect::<Result<_, _>>()?;
     let rows = overall(&prepared, &OverallConfig::default());
     println!(
         "{}",
@@ -30,4 +33,5 @@ fn main() {
             }
         );
     }
+    Ok(())
 }

@@ -6,16 +6,16 @@
 //! sees a *slight increase* in weight kurtosis; with function-preserving
 //! outlier injection it stays flat or dips — see EXPERIMENTS.md.)
 
-use nora_bench::prepare_cached;
+use nora_bench::{prepare_cached, Error};
 use nora_eval::runner::{kurtosis_report, KurtosisRow};
 use nora_nn::zoo::{opt_presets, other_presets};
 
-fn main() {
+fn main() -> Result<(), Error> {
     let opt = &opt_presets()[2]; // opt-6.7b-sim (paper Fig. 6 uses OPT-6.7B)
     let others = other_presets();
     let mut rows: Vec<KurtosisRow> = Vec::new();
     for spec in [opt, &others[1], &others[2]] {
-        let prepared = prepare_cached(spec);
+        let prepared = prepare_cached(spec)?;
         rows.extend(kurtosis_report(&prepared));
     }
     println!("{}", KurtosisRow::table(&rows).render());
@@ -29,4 +29,5 @@ fn main() {
         mean(|r| r.weight_naive),
         mean(|r| r.weight_nora),
     );
+    Ok(())
 }

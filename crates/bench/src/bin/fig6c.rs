@@ -6,17 +6,17 @@
 //! entering the ADC is larger, raising the SNR against additive output
 //! noise.
 
-use nora_bench::prepare_cached;
+use nora_bench::{prepare_cached, Error};
 use nora_cim::TileConfig;
 use nora_eval::runner::{rescale_report, RescaleRow};
 use nora_nn::zoo::{opt_presets, other_presets};
 
-fn main() {
+fn main() -> Result<(), Error> {
     let opt = &opt_presets()[2];
     let others = other_presets();
     let mut rows: Vec<RescaleRow> = Vec::new();
     for spec in [opt, &others[1], &others[2]] {
-        let prepared = prepare_cached(spec);
+        let prepared = prepare_cached(spec)?;
         rows.extend(rescale_report(&prepared, TileConfig::paper_default(), 0x6c));
     }
     println!("{}", RescaleRow::table(&rows).render());
@@ -26,4 +26,5 @@ fn main() {
         shrunk,
         rows.len()
     );
+    Ok(())
 }

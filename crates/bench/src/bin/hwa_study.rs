@@ -29,7 +29,7 @@ use nora_nn::zoo::{opt_presets, other_presets, robust_variant, RobustSpec, ZooSp
 /// `NORA_HWA_*` knobs.
 fn robust_recipe(spec: &ZooSpec) -> Result<RobustSpec, Error> {
     let default = RobustSpec::default_for(&spec.train);
-    let steps = if fast_mode() { 40 } else { default.steps };
+    let steps = if fast_mode()? { 40 } else { default.steps };
     let (lr, noise_scale) = (default.lr as f64, default.noise_scale as f64);
     Ok(RobustSpec {
         steps: env_scalar("NORA_HWA_STEPS", steps, parsed)?,
@@ -41,7 +41,7 @@ fn robust_recipe(spec: &ZooSpec) -> Result<RobustSpec, Error> {
 fn main() -> Result<(), Error> {
     let opt = &opt_presets()[2];
     let mistral = &other_presets()[2];
-    let specs: Vec<&ZooSpec> = if fast_mode() {
+    let specs: Vec<&ZooSpec> = if fast_mode()? {
         vec![opt]
     } else {
         vec![opt, mistral]
@@ -52,7 +52,7 @@ fn main() -> Result<(), Error> {
         .collect::<Result<_, _>>()?;
 
     let mut cfg = HwaStudyConfig::default();
-    if fast_mode() {
+    if fast_mode()? {
         cfg.noises.truncate(2);
         cfg.mse_points = 2;
         cfg.cell_rates = vec![0.02];
@@ -63,11 +63,13 @@ fn main() -> Result<(), Error> {
     let pairs: Vec<HwaPair> = specs
         .iter()
         .zip(recipes)
-        .map(|(spec, robust)| HwaPair {
-            base: prepare_cached(spec),
-            robust: prepare_cached(&robust_variant(spec, Some(robust))),
+        .map(|(spec, robust)| {
+            Ok(HwaPair {
+                base: prepare_cached(spec)?,
+                robust: prepare_cached(&robust_variant(spec, Some(robust)))?,
+            })
         })
-        .collect();
+        .collect::<Result<_, Error>>()?;
 
     let mut metrics = nora_obs::Metrics::new();
     let t0 = std::time::Instant::now();

@@ -1,15 +1,15 @@
 //! λ ablation (paper §VII future work): global migration-strength sweep
 //! plus the per-layer λ search, on the OPT-6.7b-like model.
 
-use nora_bench::prepare_cached;
+use nora_bench::{prepare_cached, Error};
 use nora_cim::TileConfig;
 use nora_core::{lambda_search, RescalePlan, SmoothingConfig};
 use nora_eval::report::{pct, Table};
 use nora_eval::tasks::analog_accuracy;
 use nora_nn::zoo::opt_presets;
 
-fn main() {
-    let prepared = prepare_cached(&opt_presets()[2]);
+fn main() -> Result<(), Error> {
+    let prepared = prepare_cached(&opt_presets()[2])?;
     let tile = TileConfig::paper_default();
 
     let mut t = Table::new(&["lambda", "acc%", "loss_pp"])
@@ -56,4 +56,5 @@ fn main() {
             .count();
         println!("  λ={lambda:.2}: {n} layers");
     }
+    Ok(())
 }

@@ -4,13 +4,13 @@
 //! digital) — which layer is the bottleneck? `all-but-this` rows keep one
 //! layer digital — is rescuing a single layer enough?
 
-use nora_bench::prepare_cached;
+use nora_bench::{prepare_cached, Error};
 use nora_cim::TileConfig;
 use nora_eval::runner::{layer_sensitivity, LayerSensitivityRow, LayerStudyMode};
 use nora_nn::zoo::opt_presets;
 
-fn main() {
-    let prepared = prepare_cached(&opt_presets()[2]);
+fn main() -> Result<(), Error> {
+    let prepared = prepare_cached(&opt_presets()[2])?;
     let tile = TileConfig::paper_default();
     let mut rows: Vec<LayerSensitivityRow> = Vec::new();
     for mode in [
@@ -33,4 +33,5 @@ fn main() {
         nora_eval::report::pct(worst.accuracy),
         nora_eval::report::pct(worst.digital),
     );
+    Ok(())
 }

@@ -3,12 +3,12 @@
 //! NORA can — the trade-off every `α` faces is unwinnable when outliers
 //! stretch the input range.
 
-use nora_bench::prepare_cached;
+use nora_bench::{prepare_cached, Error};
 use nora_eval::runner::{management_ablation, ManagementRow};
 use nora_nn::zoo::opt_presets;
 
-fn main() {
-    let prepared = vec![prepare_cached(&opt_presets()[2])];
+fn main() -> Result<(), Error> {
+    let prepared = vec![prepare_cached(&opt_presets()[2])?];
     let rows = management_ablation(&prepared, 0x59);
     println!("{}", ManagementRow::table(&rows).render());
     let best_mgmt = rows
@@ -23,4 +23,5 @@ fn main() {
         100.0 * best_mgmt,
         100.0 * nora
     );
+    Ok(())
 }

@@ -5,15 +5,15 @@
 //! weight on the OPT-like model (naive mapping, so the effect of weight
 //! precision is isolated from NORA's IO-side gains).
 
-use nora_bench::prepare_cached;
+use nora_bench::{prepare_cached, Error};
 use nora_cim::{NonIdeality, TileConfig, WeightSource};
 use nora_core::RescalePlan;
 use nora_eval::report::{pct, Table};
 use nora_eval::tasks::analog_accuracy;
 use nora_nn::zoo::opt_presets;
 
-fn main() {
-    let prepared = prepare_cached(&opt_presets()[2]);
+fn main() -> Result<(), Error> {
+    let prepared = prepare_cached(&opt_presets()[2])?;
     let mut t = Table::new(&["prog_noise_scale", "slices=1", "slices=2", "slices=3"])
         .with_title("§VII extension — weight slicing vs programming-noise severity (acc %)");
     for severity in [1.0f32, 3.0, 6.0, 10.0] {
@@ -43,4 +43,5 @@ fn main() {
         "NORA + 2-slice weights under Table II noise: {}%",
         nora_eval::report::pct(analog_accuracy(&mut nora, &prepared.episodes))
     );
+    Ok(())
 }

@@ -25,15 +25,15 @@ fn main() -> Result<(), Error> {
     let mut cfg = SparsityStudyConfig::default();
     cfg.patterns = env_list("NORA_SPARSITY_PATTERNS", &cfg.patterns, NmPattern::parse)?;
     cfg.auto_budget = env_scalar("NORA_SPARSITY_BUDGET", cfg.auto_budget, parsed)?;
-    let default_tokens = if fast_mode() { 64 } else { 512 };
+    let default_tokens = if fast_mode()? { 64 } else { 512 };
     cfg.decode_tokens = env_scalar("NORA_SPARSITY_TOKENS", default_tokens, parsed)?;
 
     let opt = &opt_presets()[2];
     let mistral = &other_presets()[2];
-    let prepared = if fast_mode() {
-        vec![prepare_cached(opt)]
+    let prepared = if fast_mode()? {
+        vec![prepare_cached(opt)?]
     } else {
-        vec![prepare_cached(opt), prepare_cached(mistral)]
+        vec![prepare_cached(opt)?, prepare_cached(mistral)?]
     };
 
     let mut rows = Vec::new();

@@ -4,13 +4,16 @@
 //! Expected shape (paper Table III): ≤ 1.6 pp loss for the LLaMA-like
 //! models and ≤ 1 pp for the Mistral-like model.
 
-use nora_bench::prepare_cached;
+use nora_bench::{prepare_cached, Error};
 use nora_eval::report::{pct, Table};
 use nora_eval::runner::{overall, OverallConfig};
 use nora_nn::zoo::other_presets;
 
-fn main() {
-    let prepared: Vec<_> = other_presets().iter().map(prepare_cached).collect();
+fn main() -> Result<(), Error> {
+    let prepared: Vec<_> = other_presets()
+        .iter()
+        .map(prepare_cached)
+        .collect::<Result<_, _>>()?;
     let rows = overall(&prepared, &OverallConfig::default());
     // Table III's layout: one row pair (method / digital) per model.
     let mut t = Table::new(&["Model", "Setting", "Lambada-like acc (%)"])
@@ -32,4 +35,5 @@ fn main() {
         println!("{}: NORA loss {:.2} pp (naive would lose {:.1} pp)",
             r.model, r.nora_loss_pp(), r.naive_loss_pp());
     }
+    Ok(())
 }

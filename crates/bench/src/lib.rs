@@ -46,7 +46,8 @@
 //! Trained models are cached under `NORA_CACHE_DIR` (default
 //! `target/nora-model-cache`), so only the first run of a binary pays the
 //! training cost. Set `NORA_FAST=1` to shrink evaluation sizes for smoke
-//! runs.
+//! runs; `0` or empty keeps the full sizes, and any other value stops the
+//! bin like a bad knob.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -84,45 +85,44 @@ pub fn cache_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("target/nora-model-cache"))
 }
 
-/// Whether fast (smoke-test) mode is requested via `NORA_FAST=1`.
-pub fn fast_mode() -> bool {
-    std::env::var("NORA_FAST")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+/// Whether fast (smoke-test) mode is on: `NORA_FAST=1` turns it on, and
+/// unset, empty or `0` leaves it off. Any other value, such as `true`, is
+/// an error naming the variable.
+pub fn fast_mode() -> Result<bool, Error> {
+    env_scalar("NORA_FAST", false, switch)
+}
+
+/// The `parse` argument of [`env_scalar`] for an on/off knob: `0` or `1`.
+fn switch(item: &str) -> Option<bool> {
+    matches!(item, "0" | "1").then(|| item == "1")
 }
 
 /// Number of held-out evaluation episodes (shrunk in fast mode).
-pub fn episode_count() -> usize {
-    if fast_mode() {
-        60
-    } else {
-        250
-    }
+pub fn episode_count() -> Result<usize, Error> {
+    Ok(if fast_mode()? { 60 } else { 250 })
 }
 
 /// Number of calibration sequences (shrunk in fast mode).
-pub fn calib_count() -> usize {
-    if fast_mode() {
-        4
-    } else {
-        16
-    }
+pub fn calib_count() -> Result<usize, Error> {
+    Ok(if fast_mode()? { 4 } else { 16 })
 }
 
 /// Builds (or loads from cache) and prepares one zoo model, logging
-/// progress to stderr.
-pub fn prepare_cached(spec: &ZooSpec) -> PreparedModel {
+/// progress to stderr. A bad `NORA_FAST` stops it before any model is
+/// built.
+pub fn prepare_cached(spec: &ZooSpec) -> Result<PreparedModel, Error> {
+    let (episodes, calib) = (episode_count()?, calib_count()?);
     eprintln!("[nora-bench] preparing {} …", spec.name);
     let t0 = std::time::Instant::now();
     let zoo = spec.build_cached(&cache_dir());
-    let prepared = prepare_built(zoo, episode_count(), calib_count());
+    let prepared = prepare_built(zoo, episodes, calib);
     eprintln!(
         "[nora-bench] {} ready in {:.1?} (digital acc {:.2}%)",
         spec.name,
         t0.elapsed(),
         100.0 * prepared.digital_acc
     );
-    prepared
+    Ok(prepared)
 }
 
 /// Parses `raw`, the value of knob `var`, as comma-separated items, each
@@ -171,8 +171,18 @@ pub fn env_list<T: Clone>(
 /// Reads the one-value knob `var` with `parse`. Unset or empty keeps
 /// `default`; a list is an error.
 pub fn env_scalar<T>(var: &str, default: T, parse: impl Fn(&str) -> Option<T>) -> Result<T, Error> {
-    let raw = knob(var)?;
-    match parse_knob(var, &raw, parse)? {
+    parse_scalar(var, &knob(var)?, default, parse)
+}
+
+/// Parses `raw`, the value of the one-value knob `var`, as [`env_scalar`]
+/// does.
+fn parse_scalar<T>(
+    var: &str,
+    raw: &str,
+    default: T,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<T, Error> {
+    match parse_knob(var, raw, parse)? {
         None => Ok(default),
         Some(mut items) if items.len() == 1 => Ok(items.remove(0)),
         Some(_) => Err(Error(format!("{var}: expected one value, got {raw:?}"))),
@@ -247,8 +257,19 @@ mod tests {
 
     #[test]
     fn counts_are_positive() {
-        assert!(episode_count() > 0);
-        assert!(calib_count() > 0);
+        assert!(episode_count().unwrap() > 0);
+        assert!(calib_count().unwrap() > 0);
+    }
+
+    #[test]
+    fn fast_switch_takes_only_0_and_1() {
+        let read = |raw| parse_scalar("NORA_FAST", raw, false, switch);
+        assert!(!read("").unwrap());
+        assert!(!read("0").unwrap());
+        assert!(read("1").unwrap());
+        let err = read("true").unwrap_err().to_string();
+        assert_eq!(err, r#"NORA_FAST: cannot parse "true""#);
+        assert!(read("1,1").is_err());
     }
 
     #[test]

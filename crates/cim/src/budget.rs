@@ -208,11 +208,6 @@ impl NoiseBudget {
             (signed_mean / g_max, var / (g_max * g_max))
         }
     }
-
-    /// Programming-error σ (relative, normalised-weight units) at `w_hat`.
-    pub fn prog_sigma_rel(&self, w_hat: f32) -> f64 {
-        self.prog_moments(w_hat).1.sqrt()
-    }
 }
 
 impl TileConfig {

@@ -109,7 +109,7 @@ use nora_cim::nonlinearity::{s_shape, s_shape_slice};
 use nora_cim::{BoundManagement, NoiseBudget, NoiseManagement, TileConfig};
 use nora_core::RescalePlan;
 use nora_nn::corpus::Episode;
-use nora_nn::{softmax_rows, LinearId, LinearKind, TransformerLm};
+use nora_nn::{KvView, LinearId, LinearKind, TransformerLm};
 use nora_tensor::rng::Rng;
 use nora_tensor::Matrix;
 
@@ -1026,7 +1026,15 @@ impl AnalyticEvaluator {
                 let q = block.attn.wq.forward(&ln1_out);
                 let k = block.attn.wk.forward(&ln1_out);
                 let v = block.attn.wv.forward(&ln1_out);
-                accumulate_attn_stats(st, &q, &k, block.attn.heads());
+                // The model's own attention core, so the captured logits
+                // are bit-identical to `model.forward`; its probabilities
+                // feed the softmax statistics.
+                let mut probs = Vec::new();
+                let context =
+                    block
+                        .attn
+                        .attend(&q, KvView::full(&k), KvView::full(&v), Some(&mut probs));
+                accumulate_attn_stats(st, &q, &k, &probs);
                 if st.msq_v.is_empty() {
                     st.msq_v = vec![0.0; v.cols()];
                 }
@@ -1035,10 +1043,6 @@ impl AnalyticEvaluator {
                         st.msq_v[c] += f64::from(t) * f64::from(t);
                     }
                 }
-                // The block forward itself uses the model's own kernels and
-                // attention core, so the captured logits are bit-identical
-                // to `model.forward`.
-                let context = block.attn.attend(&q, &k, &v);
                 let x1 = x.add(&block.attn.wo.forward(&context));
                 st.ln2_var += ln_mean_var(&x1) * rows as f64;
                 let ln2_out = block.ln2.forward_inference(&x1);
@@ -1910,37 +1914,24 @@ fn rows_to_matrix(rows: &[Vec<f32>]) -> Matrix {
     Matrix::from_rows(&refs)
 }
 
-/// Accumulates softmax/query/key/value statistics of one episode's
-/// attention (replicates the causal `attend` math for measurement only —
-/// the forward itself runs through the model's own kernels).
-fn accumulate_attn_stats(st: &mut BlockStats, q: &Matrix, k: &Matrix, heads: usize) {
-    let t = q.rows();
-    let d = q.cols();
-    let hd = d / heads;
-    let scale = 1.0 / (hd as f32).sqrt();
+/// Accumulates softmax/query/key statistics of one episode's attention
+/// from its projected `q`, `k` and the per-head probabilities the
+/// attention core returned.
+fn accumulate_attn_stats(st: &mut BlockStats, q: &Matrix, k: &Matrix, probs: &[Matrix]) {
+    let hd = q.cols() / probs.len();
+    let msq = |x: &[f32]| x.iter().map(|&x| f64::from(x) * f64::from(x)).sum::<f64>() / hd as f64;
     let (mut f_attn, mut jac, mut kq, mut kk) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
     let mut rows_n = 0usize;
-    for h in 0..heads {
-        let qh = q.submatrix(0, t, h * hd, (h + 1) * hd);
-        let kh = k.submatrix(0, t, h * hd, (h + 1) * hd);
-        let mut scores = qh.matmul(&kh.transpose());
-        scores.scale_assign(scale);
-        for i in 0..t {
-            for j in (i + 1)..t {
-                scores[(i, j)] = f32::NEG_INFINITY;
-            }
-        }
-        let p = softmax_rows(&scores);
-        for i in 0..t {
+    for (h, p) in probs.iter().enumerate() {
+        let cols = h * hd..(h + 1) * hd;
+        for i in 0..p.rows() {
             let row = p.row(i);
             let s2: f64 = row.iter().map(|&x| f64::from(x) * f64::from(x)).sum();
             let s3: f64 = row.iter().map(|&x| f64::from(x).powi(3)).sum();
             f_attn += s2;
             jac += s2 - 2.0 * s3 + s2 * s2;
-            kq += qh.row(i).iter().map(|&x| f64::from(x) * f64::from(x)).sum::<f64>()
-                / hd as f64;
-            kk += kh.row(i).iter().map(|&x| f64::from(x) * f64::from(x)).sum::<f64>()
-                / hd as f64;
+            kq += msq(&q.row(i)[cols.clone()]);
+            kk += msq(&k.row(i)[cols.clone()]);
             rows_n += 1;
         }
     }
@@ -1990,6 +1981,56 @@ mod tests {
             assert_eq!(*key, ep.key);
             assert_eq!(logits.as_slice(), last, "captured logits diverge");
         }
+    }
+
+    /// Pins every bit the evaluator captures from the digital model and
+    /// every bit of two predictions: the block statistics, the final
+    /// LayerNorm variance, the manifold discount, the interface responses,
+    /// the captured inputs and logits, and `predict` under a naive and a
+    /// NORA plan, hashed with FNV-1a. The expected hash was taken from a run
+    /// of the code; the attention statistics read the probabilities of the
+    /// model's own attention core, so a change to its arithmetic shows here.
+    #[test]
+    fn captured_statistics_and_predictions_are_pinned() {
+        let cfg = ModelConfig {
+            d_model: 32,
+            heads: 4,
+            layers: 2,
+            ..ModelConfig::tiny_for_tests()
+        };
+        let model = TransformerLm::new(cfg, &mut Rng::seed_from(0xA7));
+        let eps = episodes(&model, 10, 17);
+        let ev = AnalyticEvaluator::new(&model, &eps, 40);
+        let mut words: Vec<f64> = vec![ev.final_ln_var, ev.discount];
+        for st in &ev.block_stats {
+            let (f, j, q, k) = (st.f_attn, st.softmax_jac, st.kappa_q, st.kappa_k);
+            words.extend([st.ln1_var, st.ln2_var, f, j, q, k]);
+            for v in [&st.msq_v, &st.p_act, &st.act_mean, &st.act_sq] {
+                words.extend(v);
+            }
+        }
+        for r in &ev.interfaces {
+            words.extend(r.levels.iter().chain(&r.kappa));
+            words.extend(r.resid.concat());
+        }
+        let floats = ev.inputs.iter().flat_map(|m| m.as_slice());
+        let logits = ev.logits.iter().flat_map(|(l, _)| l);
+        words.extend(floats.chain(logits).map(|&x| f64::from(x)));
+        words.extend(ev.logits.iter().map(|&(_, key)| key as f64));
+        let seqs: Vec<Vec<usize>> = eps.iter().map(|e| e.tokens.clone()).collect();
+        let calib = nora_core::calibrate(&model, &seqs);
+        let nora = RescalePlan::nora(&model, &calib, nora_core::SmoothingConfig::default());
+        for plan in [RescalePlan::naive(), nora] {
+            let p = ev.predict(&model, &plan, &TileConfig::paper_default());
+            words.extend([p.sigma_logit, p.accuracy, p.residual_var]);
+            words.extend(p.logit_var.iter().chain(&p.logit_shift));
+            let layers = p.layers.iter();
+            words.extend(layers.flat_map(|l| [l.power, l.bias_power, l.var_power]));
+        }
+        let hash = words.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+            (h ^ w.to_bits()).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(format!("{hash:016x}"), "f92d05fb1ef14f94");
     }
 
     /// Pure-quantization configurations are fully deterministic: the

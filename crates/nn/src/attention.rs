@@ -3,7 +3,6 @@
 use crate::linear::DigitalLinear;
 use crate::model::KvView;
 use crate::param::Param;
-use crate::softmax::softmax_rows;
 use nora_tensor::rng::Rng;
 use nora_tensor::Matrix;
 
@@ -86,46 +85,78 @@ impl MultiHeadAttention {
         m.submatrix(0, m.rows(), h * hd, (h + 1) * hd)
     }
 
-    /// The batched causal attention core: given the projected `q`, `k`, `v`
-    /// of one sequence (each `seq × d`), returns the concatenated per-head
-    /// context (`seq × d`, the input of `wo`), row `i` attending over rows
-    /// `0..=i`. The training [`MultiHeadAttention::forward`] and every
-    /// inference pass without a KV cache run it.
+    /// The causal attention core, which training, every inference pass and
+    /// the analytic evaluator run. The rows of `q` (`m × d`, projected) are
+    /// the last `m` positions of the `len` key/value rows in `k` and `v`;
+    /// query row `i` attends over the first `len − m + i + 1` of them. One
+    /// rule covers a pass without a cache (`m = len`, [`KvView::full`] over
+    /// the pass's own K/V), a cached refill, the answer cone (`m = 1`) and
+    /// a full ring. Returns the concatenated per-head context (`m × d`, the
+    /// input of `wo`). With `probs`, it also fills one `m × len` matrix of
+    /// post-softmax probabilities per head, zero above the diagonal.
+    ///
+    /// Per head and query row: each score is `acc = 0.0`, then `acc +=
+    /// q[t]·key[t]` with `t` ascending (the row kernel's chain), times
+    /// `1/√d_head`; then the row max, `exp(s − max)` and their sum in key
+    /// order, `w = e / sum`, and `ctx += w·value` in key order from `0.0`.
+    /// Only the keys a row sees are computed.
     ///
     /// # Panics
     ///
-    /// Panics if the shapes disagree.
-    pub fn attend(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Matrix {
-        self.attend_with_probs(q, k, v).1
-    }
-
-    /// [`MultiHeadAttention::attend`] that also returns the per-head
-    /// probabilities backward needs.
-    fn attend_with_probs(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> (Vec<Matrix>, Matrix) {
-        let seq = q.rows();
-        let d = self.dim();
+    /// Panics if the widths disagree, `k` and `v` differ in length, or `q`
+    /// has more rows than there are keys.
+    pub fn attend(
+        &self,
+        q: &Matrix,
+        k: KvView<'_>,
+        v: KvView<'_>,
+        mut probs: Option<&mut Vec<Matrix>>,
+    ) -> Matrix {
+        let (m, d) = q.shape();
+        let len = k.len();
+        assert_eq!(d, self.dim(), "query width mismatch");
+        assert!(k.cols() == d && v.cols() == d, "key/value width mismatch");
+        assert_eq!(v.len(), len, "key/value length mismatch");
+        assert!(m <= len, "{m} query rows over {len} keys");
         let hd = d / self.heads;
         let scale = 1.0 / (hd as f32).sqrt();
-        let mut probs = Vec::with_capacity(self.heads);
-        let mut context = Matrix::zeros(seq, d);
-        for h in 0..self.heads {
-            let qh = Self::head_slice(q, h, hd);
-            let kh = Self::head_slice(k, h, hd);
-            let vh = Self::head_slice(v, h, hd);
-            let mut scores = qh.matmul(&kh.transpose());
-            scores.scale_assign(scale);
-            // Causal mask: position i attends to j <= i.
-            for i in 0..seq {
-                for j in (i + 1)..seq {
-                    scores[(i, j)] = f32::NEG_INFINITY;
+        // Resolve the ring once per call, not once per row read.
+        let keys: Vec<&[f32]> = k.rows().collect();
+        let values: Vec<&[f32]> = v.rows().collect();
+        if let Some(probs) = probs.as_deref_mut() {
+            *probs = vec![Matrix::zeros(m, len); self.heads];
+        }
+        let mut context = Matrix::zeros(m, d);
+        let mut scores = vec![0.0f32; len];
+        for i in 0..m {
+            let seen = len - m + i + 1;
+            let s = &mut scores[..seen];
+            for h in 0..self.heads {
+                let cols = h * hd..(h + 1) * hd;
+                head_scores(&q.row(i)[cols.clone()], &keys[..seen], cols.start, s);
+                let mut max = f32::NEG_INFINITY;
+                for x in s.iter_mut() {
+                    *x *= scale;
+                    max = max.max(*x);
+                }
+                let mut denom = 0.0f32;
+                for x in s.iter_mut() {
+                    *x = (*x - max).exp();
+                    denom += *x;
+                }
+                let ctx = &mut context.row_mut(i)[cols.clone()];
+                for (x, value) in s.iter_mut().zip(&values) {
+                    *x /= denom;
+                    for (c, &val) in ctx.iter_mut().zip(&value[cols.clone()]) {
+                        *c += *x * val;
+                    }
+                }
+                if let Some(probs) = probs.as_deref_mut() {
+                    probs[h].row_mut(i)[..seen].copy_from_slice(s);
                 }
             }
-            let p = softmax_rows(&scores);
-            let oh = p.matmul(&vh);
-            context.set_submatrix(0, h * hd, &oh);
-            probs.push(p);
         }
-        (probs, context)
+        context
     }
 
     /// Forward pass over `(seq × d)`, caching intermediates for backward.
@@ -133,7 +164,8 @@ impl MultiHeadAttention {
         let q = self.wq.forward(x);
         let k = self.wk.forward(x);
         let v = self.wv.forward(x);
-        let (probs, context) = self.attend_with_probs(&q, &k, &v);
+        let mut probs = Vec::new();
+        let context = self.attend(&q, KvView::full(&k), KvView::full(&v), Some(&mut probs));
         let y = self.wo.forward(&context);
         self.cache = Some(Cache {
             x: x.clone(),
@@ -144,64 +176,6 @@ impl MultiHeadAttention {
             context,
         });
         y
-    }
-
-    /// Single-query attention over cached keys/values (the KV-cache decode
-    /// path): `q` is the projected query of the newest token (length `d`),
-    /// `k_cache`/`v_cache` hold the projected keys/values of all tokens so
-    /// far **including** the newest (each `t × d`, in logical oldest-first
-    /// order). Writes the attention context (length `d`) for the newest
-    /// position into `context`, overwriting it. Accepts [`KvView`]s so a
-    /// ring-buffered [`crate::KvCache`] can expose its window without
-    /// copying; use [`KvView::full`] to attend over a plain matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes disagree.
-    pub fn attend_one(
-        &self,
-        q: &[f32],
-        k_cache: KvView<'_>,
-        v_cache: KvView<'_>,
-        context: &mut [f32],
-    ) {
-        let d = self.dim();
-        assert_eq!(q.len(), d, "query width mismatch");
-        assert_eq!(context.len(), d, "context width mismatch");
-        assert_eq!(k_cache.len(), v_cache.len(), "cache length mismatch");
-        assert_eq!(k_cache.cols(), d, "cache width mismatch");
-        assert_eq!(v_cache.cols(), d, "cache width mismatch");
-        let t = k_cache.len();
-        assert!(t > 0, "empty kv cache");
-        let hd = d / self.heads;
-        let scale = 1.0 / (hd as f32).sqrt();
-        context.fill(0.0);
-        for h in 0..self.heads {
-            let qh = &q[h * hd..(h + 1) * hd];
-            // Scores against every cached key (causality is implicit: the
-            // cache only contains past-and-current tokens).
-            let mut scores = Vec::with_capacity(t);
-            let mut max = f32::NEG_INFINITY;
-            for i in 0..t {
-                let kh = &k_cache.row(i)[h * hd..(h + 1) * hd];
-                let s: f32 = qh.iter().zip(kh).map(|(&a, &b)| a * b).sum::<f32>() * scale;
-                max = max.max(s);
-                scores.push(s);
-            }
-            let mut denom = 0.0f32;
-            for s in &mut scores {
-                *s = (*s - max).exp();
-                denom += *s;
-            }
-            let ctx = &mut context[h * hd..(h + 1) * hd];
-            for (i, &p) in scores.iter().enumerate() {
-                let vh = &v_cache.row(i)[h * hd..(h + 1) * hd];
-                let w = p / denom;
-                for (c, &v) in ctx.iter_mut().zip(vh) {
-                    *c += w * v;
-                }
-            }
-        }
     }
 
     /// Backward pass; must follow a caching [`MultiHeadAttention::forward`].
@@ -269,6 +243,30 @@ impl MultiHeadAttention {
     }
 }
 
+/// `out[j] = q · keys[j][c0..c0 + q.len()]` for every key, each a
+/// `t`-ascending chain from `0.0`. Eight keys go per step, so eight
+/// independent chains overlap instead of each add waiting on the last.
+fn head_scores(q: &[f32], keys: &[&[f32]], c0: usize, out: &mut [f32]) {
+    const KEYS: usize = 8;
+    let hd = q.len();
+    let mut groups = keys.chunks_exact(KEYS);
+    let mut outs = out.chunks_exact_mut(KEYS);
+    for (group, out) in (&mut groups).zip(&mut outs) {
+        let rows: [&[f32]; KEYS] = std::array::from_fn(|j| &group[j][c0..c0 + hd]);
+        let mut acc = [0.0f32; KEYS];
+        for (t, &a) in q.iter().enumerate() {
+            for (s, row) in acc.iter_mut().zip(&rows) {
+                *s += a * row[t];
+            }
+        }
+        out.copy_from_slice(&acc);
+    }
+    for (key, out) in groups.remainder().iter().zip(outs.into_remainder()) {
+        let key = &key[c0..c0 + hd];
+        *out = q.iter().zip(key).fold(0.0, |acc, (&a, &b)| acc + a * b);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,7 +310,7 @@ mod tests {
     }
 
     #[test]
-    fn forward_runs_the_batched_core() {
+    fn forward_runs_the_core() {
         let mut rng = Rng::seed_from(3);
         let mut attn = MultiHeadAttention::new(12, 3, &mut rng);
         let x = Matrix::random_normal(4, 12, 0.0, 1.0, &mut rng);
@@ -321,8 +319,46 @@ mod tests {
             attn.wk.forward(&x),
             attn.wv.forward(&x),
         );
-        let want = attn.wo.forward(&attn.attend(&q, &k, &v));
-        assert_eq!(attn.forward(&x), want);
+        let context = attn.attend(&q, KvView::full(&k), KvView::full(&v), None);
+        assert_eq!(attn.forward(&x), attn.wo.forward(&context));
+    }
+
+    /// A pass over every row, a refill of the last rows, and one-row calls
+    /// over each prefix, plain or wrapped in a ring, give the same bits;
+    /// the kept probabilities are causal rows that sum to one.
+    #[test]
+    fn one_rule_covers_passes_refills_single_rows_and_rings() {
+        let mut rng = Rng::seed_from(4);
+        let (n, d, start) = (11, 16, 4);
+        let attn = MultiHeadAttention::new(d, 2, &mut rng);
+        let [q, k, v] = [0; 3].map(|_| Matrix::random_normal(n, d, 0.0, 1.0, &mut rng));
+        let mut probs = Vec::new();
+        let full = attn.attend(&q, KvView::full(&k), KvView::full(&v), Some(&mut probs));
+        let tail = q.submatrix(n - 3, n, 0, d);
+        let refill = attn.attend(&tail, KvView::full(&k), KvView::full(&v), None);
+        assert_eq!(refill, full.submatrix(n - 3, n, 0, d));
+        // The same rows in a ring whose oldest row sits at physical `start`.
+        let ring = |m: &Matrix| {
+            let rows: Vec<&[f32]> = (0..n).map(|r| m.row((r + n - start) % n)).collect();
+            Matrix::from_rows(&rows)
+        };
+        let (kr, vr) = (ring(&k), ring(&v));
+        for i in 0..n {
+            let qi = q.submatrix(i, i + 1, 0, d);
+            let view = |m, start| KvView::new(m, start, i + 1);
+            let plain = attn.attend(&qi, view(&k, 0), view(&v, 0), None);
+            let wrapped = attn.attend(&qi, view(&kr, start), view(&vr, start), None);
+            assert_eq!(plain.row(0), full.row(i), "row {i}");
+            assert_eq!(wrapped.row(0), full.row(i), "ring row {i}");
+        }
+        assert_eq!(probs.len(), 2);
+        for p in &probs {
+            for i in 0..n {
+                assert!(p.row(i)[i + 1..].iter().all(|&x| x == 0.0));
+                let sum: f32 = p.row(i).iter().sum();
+                assert!((sum - 1.0).abs() < 1e-5, "row {i} sums to {sum}");
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::attention::MultiHeadAttention;
 use crate::layernorm::LayerNorm;
 use crate::linear::DigitalLinear;
-use crate::model::{KvCache, LinearId, LinearKind};
+use crate::model::{KvCache, KvView, LinearId, LinearKind};
 use crate::param::Param;
 use nora_tensor::rng::Rng;
 use nora_tensor::Matrix;
@@ -29,16 +29,16 @@ pub struct TransformerBlock {
 }
 
 /// Where a block's attention finds the keys and values its rows attend
-/// over.
+/// over. Either way one call of the attention core
+/// ([`MultiHeadAttention::attend`]) serves every row.
 pub(crate) enum Attend<'a> {
-    /// Among the pass's own rows, causally (row `i` over rows `0..=i`),
-    /// through the batched core.
+    /// Among the pass's own rows, causally (row `i` over rows `0..=i`).
     Causal,
     /// Behind the rows `cache` holds: every row's K/V is written to the
     /// cache, and row `i` attends over the cached rows plus rows `0..=i`.
     /// With `answer_only`, only the last row goes on past K/V (the answer
     /// cone: in the last block the other rows would only feed logits that
-    /// nobody reads).
+    /// nobody reads), and it attends over every row.
     Cached {
         cache: &'a mut KvCache,
         answer_only: bool,
@@ -156,18 +156,14 @@ impl TransformerBlock {
         };
         let k = project(id(LinearKind::K), &ln1_out);
         let v = project(id(LinearKind::V), &ln1_out);
-        let context = match attend {
-            Attend::Causal => self.attn.attend(&q, &k, &v),
+        let (keys, values) = match attend {
+            Attend::Causal => (KvView::full(&k), KvView::full(&v)),
             Attend::Cached { cache, .. } => {
                 cache.write_rows(b, &k, &v);
-                let mut context = Matrix::zeros(q.rows(), d);
-                for i in 0..q.rows() {
-                    let (kc, vc) = cache.view_rows(b, first + i + 1);
-                    self.attn.attend_one(q.row(i), kc, vc, context.row_mut(i));
-                }
-                context
+                cache.view_rows(b, n)
             }
         };
+        let context = self.attn.attend(&q, keys, values, None);
         x1.add_assign(&project(id(LinearKind::Out), &context));
         let ln2_out = self.ln2.forward_inference(&x1);
         let mut h = project(id(LinearKind::Fc1), &ln2_out);

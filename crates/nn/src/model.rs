@@ -282,10 +282,11 @@ impl KvCache {
     }
 }
 
-/// Oldest-first view of the rows a [`KvCache`] block currently holds,
-/// resolving the ring indirection (logical row `i` lives at physical row
-/// `(start + i) % capacity`). Consumed by
-/// [`crate::MultiHeadAttention::attend_one`].
+/// Oldest-first view of the key or value rows that attention reads:
+/// those a [`KvCache`] block holds, resolving the ring indirection
+/// (logical row `i` lives at physical row `(start + i) % capacity`), or,
+/// through [`KvView::full`], a pass's own K/V matrix. Consumed by the one
+/// attention core, [`crate::MultiHeadAttention::attend`].
 #[derive(Debug, Clone, Copy)]
 pub struct KvView<'a> {
     mat: &'a Matrix,
@@ -330,6 +331,17 @@ impl<'a> KvView<'a> {
     pub fn row(&self, i: usize) -> &'a [f32] {
         debug_assert!(i < self.len, "row {i} of {}", self.len);
         self.mat.row((self.start + i) % self.mat.rows())
+    }
+
+    /// Every logical row, oldest first. The ring wraps at most once, so
+    /// this walks the physical rows from `start` and then from 0, with no
+    /// `%` per row.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = &'a [f32]> {
+        let mat: &'a Matrix = self.mat;
+        mat.iter_rows()
+            .skip(self.start)
+            .chain(mat.iter_rows())
+            .take(self.len)
     }
 }
 
@@ -625,10 +637,9 @@ impl TransformerLm {
     /// one row.
     ///
     /// A full prompt processed token by token through `decode_step` gives
-    /// the logits of [`TransformerLm::forward`] on the whole sequence to
-    /// within float rounding, not bit for bit: `forward` runs the batched
-    /// attention core and `decode_step` the single-query one, and the two
-    /// order their sums differently.
+    /// the logits of [`TransformerLm::forward`] on the whole sequence, bit
+    /// for bit at every position: both run the one attention core
+    /// ([`crate::MultiHeadAttention::attend`]) over the same rows.
     ///
     /// On a *full* cache the step does not panic: the ring evicts the oldest
     /// position and the new token executes at the final positional slot.
@@ -653,9 +664,9 @@ impl TransformerLm {
     /// let logits_a = model.decode_step(3, &mut cache);
     /// let logits_b = model.decode_step(1, &mut cache);
     /// assert_eq!(cache.len(), 2);
-    /// // The full forward at the same positions, to within rounding:
+    /// // The full forward at the same positions, bit for bit:
     /// let full = model.forward(&[3, 1]);
-    /// assert!((logits_b[0] - full[(1, 0)]).abs() < 1e-4);
+    /// assert_eq!(logits_b.as_slice(), full.row(1));
     /// # let _ = logits_a;
     /// ```
     pub fn decode_step(&self, token: usize, cache: &mut KvCache) -> Vec<f32> {
@@ -796,10 +807,9 @@ mod tests {
         for (i, &t) in tokens.iter().enumerate() {
             last = model.decode_step(t, &mut cache);
             assert_eq!(cache.len(), i + 1);
-            // Logits at every intermediate position must match too.
-            for (a, b) in last.iter().zip(full.row(i)) {
-                assert!((a - b).abs() < 1e-4, "pos {i}: {a} vs {b}");
-            }
+            // Logits at every intermediate position must match too, bit
+            // for bit: both paths run the one attention core.
+            assert_eq!(bits(&last), bits(full.row(i)), "pos {i}");
         }
         assert_eq!(last.len(), model.config().vocab);
     }

@@ -217,6 +217,43 @@ mod tests {
         assert!(acc > 0.5, "induction accuracy {acc}");
     }
 
+    /// Pins the bits of a short training run: every parameter value and
+    /// the loss trace, hashed with FNV-1a. The expected hash was taken
+    /// from a run of the code, so any change to the training forward
+    /// (attention included), backward or optimizer shows up here.
+    #[test]
+    fn training_run_is_pinned_bit_for_bit() {
+        let mut corpus = Corpus::new(CorpusConfig::new(16, 16, 5));
+        let model_cfg = ModelConfig {
+            d_model: 32,
+            heads: 4,
+            layers: 2,
+            ..ModelConfig::tiny_for_tests()
+        };
+        let mut model = TransformerLm::new(model_cfg, &mut Rng::seed_from(6));
+        let report = train(
+            &mut model,
+            &mut corpus,
+            &TrainConfig {
+                steps: 30,
+                batch_size: 2,
+                warmup: 5,
+                ..TrainConfig::default()
+            },
+        );
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut word = |w: u64| h = (h ^ w).wrapping_mul(0x0100_0000_01b3);
+        for p in model.params() {
+            for v in p.value.as_slice() {
+                word(u64::from(v.to_bits()));
+            }
+        }
+        for loss in &report.losses {
+            word(loss.to_bits());
+        }
+        assert_eq!(format!("{h:016x}"), "4379e0b88ee37533");
+    }
+
     #[test]
     fn eval_accuracy_of_empty_is_zero() {
         let model = TransformerLm::new(ModelConfig::tiny_for_tests(), &mut Rng::seed_from(0));

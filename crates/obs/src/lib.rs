@@ -330,8 +330,8 @@ impl Metrics {
 
 /// Sink for exported metrics and span events.
 ///
-/// All methods default to no-ops, so `NoopRecorder` is just the trait's
-/// defaults and custom sinks override only what they store. Recorders are
+/// All methods default to no-ops, so custom sinks override only what they
+/// store. Recorders are
 /// invoked from a single thread at deterministic export points — they never
 /// observe wall-clock interleaving of workers.
 pub trait Recorder {
@@ -349,12 +349,6 @@ pub trait Recorder {
         Ok(())
     }
 }
-
-/// The default recorder: drops everything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {}
 
 /// In-memory recorder for tests and programmatic inspection.
 #[derive(Debug, Clone, Default)]
@@ -448,17 +442,6 @@ impl<W: Write> JsonLinesRecorder<W> {
     }
 }
 
-impl JsonLinesRecorder<io::BufWriter<std::fs::File>> {
-    /// Appends to (creating if needed) the file at `path`.
-    pub fn append_to(path: &std::path::Path) -> io::Result<Self> {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        Ok(Self::new(io::BufWriter::new(file)))
-    }
-}
-
 impl<W: Write> Recorder for JsonLinesRecorder<W> {
     fn counter(&mut self, name: &str, value: u64) {
         self.write_line(format!(
@@ -489,92 +472,6 @@ impl<W: Write> Recorder for JsonLinesRecorder<W> {
             "{{\"type\":\"span\",\"name\":\"{}\",\"ns\":{nanos}}}\n",
             json_escape(name)
         ));
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.out.flush()
-    }
-}
-
-/// Escapes a field for CSV (quotes fields containing separators/quotes).
-fn csv_escape(field: &str) -> String {
-    if field.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_string()
-    }
-}
-
-/// Streams events as CSV rows under a fixed `kind,name,value,count,sum`
-/// header (histogram bucket detail is JSON-lines-only). Histogram rows
-/// carry the NaN-observation count in the otherwise-unused `value` column.
-#[derive(Debug)]
-pub struct CsvRecorder<W: Write> {
-    out: W,
-    wrote_header: bool,
-    error: Option<io::Error>,
-}
-
-impl<W: Write> CsvRecorder<W> {
-    /// The exporter's fixed header line.
-    pub const HEADER: &'static str = "kind,name,value,count,sum";
-
-    /// A recorder writing to `out` (header emitted before the first row).
-    pub fn new(out: W) -> Self {
-        Self {
-            out,
-            wrote_header: false,
-            error: None,
-        }
-    }
-
-    /// Consumes the recorder and returns the writer and the first write
-    /// error, if any occurred.
-    pub fn into_inner(self) -> (W, Option<io::Error>) {
-        (self.out, self.error)
-    }
-
-    fn write_row(&mut self, row: String) {
-        if self.error.is_some() {
-            return;
-        }
-        if !self.wrote_header {
-            if let Err(e) = self.out.write_all(Self::HEADER.as_bytes()) {
-                self.error = Some(e);
-                return;
-            }
-            if let Err(e) = self.out.write_all(b"\n") {
-                self.error = Some(e);
-                return;
-            }
-            self.wrote_header = true;
-        }
-        if let Err(e) = self.out.write_all(row.as_bytes()) {
-            self.error = Some(e);
-        }
-    }
-}
-
-impl<W: Write> Recorder for CsvRecorder<W> {
-    fn counter(&mut self, name: &str, value: u64) {
-        self.write_row(format!("counter,{},{value},,\n", csv_escape(name)));
-    }
-
-    fn histogram(&mut self, name: &str, hist: &Histogram) {
-        self.write_row(format!(
-            "histogram,{},{},{},{}\n",
-            csv_escape(name),
-            hist.nan_count(),
-            hist.count(),
-            hist.sum()
-        ));
-    }
-
-    fn span(&mut self, name: &str, nanos: u64) {
-        self.write_row(format!("span,{},{nanos},,\n", csv_escape(name)));
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -641,16 +538,11 @@ mod tests {
         assert_eq!(h.nan_count(), 3);
         assert_eq!(h.count(), 1);
 
-        // Both exporters serialize the tally.
+        // The exporter serializes the tally.
         let mut jsonl = JsonLinesRecorder::new(Vec::new());
         jsonl.histogram("h", &h);
         let (buf, _) = jsonl.into_inner();
         assert!(String::from_utf8(buf).unwrap().contains("\"nan\":3"));
-        let mut csv = CsvRecorder::new(Vec::new());
-        csv.histogram("h", &h);
-        let (buf, _) = csv.into_inner();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.lines().nth(1).unwrap().starts_with("histogram,h,3,1,"));
     }
 
     #[test]
@@ -750,35 +642,9 @@ mod tests {
     }
 
     #[test]
-    fn csv_recorder_emits_header_once_and_quotes_fields() {
-        let mut rec = CsvRecorder::new(Vec::new());
-        rec.counter("a,b", 1);
-        rec.span("s", 9);
-        rec.flush().unwrap();
-        let (buf, err) = rec.into_inner();
-        assert!(err.is_none());
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], CsvRecorder::<Vec<u8>>::HEADER);
-        assert_eq!(lines[1], "counter,\"a,b\",1,,");
-        assert_eq!(lines[2], "span,s,9,,");
-    }
-
-    #[test]
     fn stopwatch_measures_nonnegative_time() {
         let sw = Stopwatch::start();
         assert!(sw.elapsed_secs() >= 0.0);
         assert!(sw.elapsed() >= Duration::ZERO);
-    }
-
-    #[test]
-    fn noop_recorder_accepts_everything() {
-        let mut rec = NoopRecorder;
-        rec.counter("x", 1);
-        rec.span("y", 2);
-        let mut m = Metrics::new();
-        m.add("x", 1);
-        m.emit(&mut rec);
-        assert!(rec.flush().is_ok());
     }
 }

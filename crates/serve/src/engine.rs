@@ -196,12 +196,6 @@ impl MaintenanceConfig {
         self
     }
 
-    /// Overrides the compensation mode applied at drift re-reads.
-    pub fn with_compensation(mut self, compensation: DriftCompensation) -> Self {
-        self.compensation = compensation;
-        self
-    }
-
     fn validate(&self) {
         assert!(
             self.secs_per_decode_step > 0.0 && self.secs_per_decode_step.is_finite(),

@@ -109,18 +109,6 @@ impl Quantizer {
         self.rounding
     }
 
-    /// Whether `x` lies outside the representable range (`|x| > bound`, or
-    /// NaN) and would therefore be clipped at the rails by
-    /// [`Quantizer::quantize`].
-    ///
-    /// This is the straight-through-estimator masking predicate: gradients
-    /// pass unchanged through interior points of the grid and are zeroed
-    /// exactly where this returns `true`, matching the clip criterion the
-    /// converters count against.
-    pub fn clips(&self, x: f32) -> bool {
-        x.is_nan() || x.abs() > self.bound
-    }
-
     /// Quantizes a single value (deterministic rounding only).
     ///
     /// For [`Rounding::Stochastic`] use [`Quantizer::quantize_with`].

@@ -187,13 +187,6 @@ impl Rng {
         mean + std * self.standard_normal()
     }
 
-    /// Fills `buf` with standard normal samples.
-    pub fn fill_standard_normal(&mut self, buf: &mut [f32]) {
-        for v in buf {
-            *v = self.standard_normal();
-        }
-    }
-
     /// Fills `buf` with `N(mean, std²)` samples, batched.
     ///
     /// Produces the **exact same draw sequence** as calling
@@ -265,13 +258,6 @@ impl Rng {
     /// cost and stream semantics as a length-1 [`Rng::fill_normal_icdf`].
     pub fn standard_normal_icdf(&mut self) -> f32 {
         inv_norm_cdf(Self::unit_open_f64(self.next_u64())) as f32
-    }
-
-    /// Fills `buf` with uniform samples in `[lo, hi)`.
-    pub fn fill_uniform(&mut self, buf: &mut [f32], lo: f32, hi: f32) {
-        for v in buf {
-            *v = self.uniform(lo, hi);
-        }
     }
 
     /// Returns `true` with probability `p`.

@@ -66,16 +66,6 @@ pub fn kurtosis(xs: &[f32]) -> f64 {
     m4 / (m2 * m2)
 }
 
-/// Excess kurtosis (`kurtosis` − 3; normal ⇒ 0).
-pub fn excess_kurtosis(xs: &[f32]) -> f64 {
-    let k = kurtosis(xs);
-    if k == 0.0 {
-        0.0
-    } else {
-        k - 3.0
-    }
-}
-
 /// Mean squared error between two equal-length slices.
 ///
 /// # Panics
